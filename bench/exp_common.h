@@ -170,7 +170,6 @@ class MetricsDelta {
         .Set("overlay_patches", now.overlay_patches - baseline_.overlay_patches)
         .Set("compactions", now.compactions - baseline_.compactions)
         .Set("rows_reused", now.rows_reused - baseline_.rows_reused)
-        .Set("slices_repaired", now.slices_repaired - baseline_.slices_repaired)
         .Set("condense_components", now.condense_components - baseline_.condense_components)
         .Set("condense_quotient_edges",
              now.condense_quotient_edges - baseline_.condense_quotient_edges)
@@ -209,7 +208,6 @@ class MetricsDelta {
     uint64_t overlay_patches = 0;
     uint64_t compactions = 0;
     uint64_t rows_reused = 0;
-    uint64_t slices_repaired = 0;
     uint64_t condense_components = 0;
     uint64_t condense_quotient_edges = 0;
     uint64_t condense_closure_rows = 0;
@@ -238,7 +236,6 @@ class MetricsDelta {
     v.overlay_patches = registry.CounterValue("incremental.overlay_patches");
     v.compactions = registry.CounterValue("incremental.compactions");
     v.rows_reused = registry.CounterValue("incremental.rows_reused");
-    v.slices_repaired = registry.CounterValue("incremental.slices_repaired");
     v.condense_components = registry.CounterValue("condense.components");
     v.condense_quotient_edges = registry.CounterValue("condense.quotient_edges");
     v.condense_closure_rows = registry.CounterValue("condense.closure_rows");

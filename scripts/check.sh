@@ -26,20 +26,17 @@ for preset in "${presets[@]}"; do
   ctest --test-dir "build-$preset" -LE slow --output-on-failure -j "$jobs"
 done
 
-# Perf regression guards from the regular (optimized) build: the
-# bit-parallel all-pairs engine must stay within 2x of the scalar engine
-# even at sizes too small to amortize its setup, the incremental repair
-# path must stay bit-identical to (and not much slower than) the
-# full-rebuild baseline at tiny sizes, and the level-sharded audit must
-# stay report-identical to the dense engine.
-echo "=== bench smoke (bit-parallel + incremental + sharded-audit guards) ==="
+# Bench smoke from the regular (optimized) build: the level-sharded and
+# bridge-enum audits must stay report-identical to the dense engine, the
+# admission gate must match the full re-audit, and the policy server must
+# answer over the wire exactly as in process.
+echo "=== bench smoke (sharded-audit, bridge-enum, admission and server guards) ==="
 if [ ! -f build/CMakeCache.txt ]; then
   cmake -B build >/dev/null
 fi
 cmake --build build -j "$jobs" \
-  --target bench_allpairs bench_incremental bench_batch bench_scale bench_bridges \
-           bench_admission bench_server policy_server policy_client tgtop \
-           audit_tool >/dev/null
+  --target bench_scale bench_bridges bench_admission bench_server policy_server \
+           policy_client tgtop audit_tool >/dev/null
 
 # Keep the previous run's server-bench artifact so bench_compare can diff
 # this run against it below.
@@ -64,7 +61,7 @@ if [ "$effective_threads" -le 1 ]; then
 fi
 
 ctest --test-dir build \
-  -R 'bench_allpairs_smoke|bench_incremental_smoke|bench_batch_smoke|bench_scale_smoke|bench_bridges_smoke|bench_admission_smoke|bench_server_smoke|policy_server_roundtrip|metrics_roundtrip' \
+  -R 'bench_scale_smoke|bench_bridges_smoke|bench_admission_smoke|bench_server_smoke|policy_server_roundtrip|metrics_roundtrip' \
   --output-on-failure
 
 # Bench-drift canary: diff this run's server-bench numbers against the
@@ -78,12 +75,12 @@ if [ -n "$prev_server_bench" ] && command -v python3 >/dev/null 2>&1 &&
     build/tests/BENCH_server_smoke.json || true
 fi
 
-# Trace-export gate: run the batch smoke with the Perfetto exporter on and
+# Trace-export gate: run the demo audit with the Perfetto exporter on and
 # validate the trace_event JSON shape that chrome://tracing / Perfetto
 # expect.  Skipped (with a notice) when no python3 is on PATH.
 echo "=== trace export validation ==="
-trace_out="build/bench_batch_check_trace.json"
-(cd build && ./bench/bench_batch --smoke --trace-json "$(basename "$trace_out")" >/dev/null)
+trace_out="build/audit_tool_check_trace.json"
+(cd build && ./examples/audit_tool --demo --trace-json "$(basename "$trace_out")" >/dev/null)
 if command -v python3 >/dev/null 2>&1; then
   python3 scripts/validate_trace.py "$trace_out"
 else

@@ -17,9 +17,4 @@ for b in build/bench/*; do
   echo "exit=$?" | tee -a bench_output.txt
 done
 
-# bench_batch and bench_allpairs also write machine-readable timings
-# (JSON lines) into the working directory.
-[ -f BENCH_batch.json ] && echo "batch timings: BENCH_batch.json"
-[ -f BENCH_allpairs.json ] && echo "all-pairs timings: BENCH_allpairs.json"
-
 echo "done: see test_output.txt and bench_output.txt"

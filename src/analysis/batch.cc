@@ -5,8 +5,6 @@
 #include "src/analysis/bridges.h"
 #include "src/tg/condense.h"
 #include "src/tg/languages.h"
-#include "src/util/metrics.h"
-#include "src/util/trace.h"
 
 namespace tg_analysis {
 
@@ -106,66 +104,29 @@ std::vector<bool> KnowableFromSnapshotWithDeps(const AnalysisSnapshot& snap, Ver
   return KnowableFromSnapshotImpl(snap, x, &dep_words);
 }
 
-bool UseKnowableBitPipeline(size_t source_count, size_t subject_count) {
-  // The bit pipeline amortizes three subject-wide matrix sweeps over the
-  // batch; below this point the scalar per-source closures are cheaper.
-  return source_count >= 64 || source_count * 32 >= subject_count;
-}
-
-namespace {
-
-// Shared matrix pipeline; deps != nullptr additionally composes a per-row
-// dependency footprint through the same condensation the result rows use.
-// subject_filter != nullptr restricts the closure stages to that subject
-// subset (ascending ids); rows stay exact as long as every source's
-// footprint subjects are inside the filter (the scoped-repair contract).
-BitMatrix KnowableMatrixImpl(const AnalysisSnapshot& snap, std::span<const VertexId> sources,
-                             tg_util::ThreadPool* pool, BitMatrix* deps,
-                             const std::vector<VertexId>* subject_filter = nullptr,
-                             std::span<const uint64_t> vertex_mask = {}) {
+BitMatrix KnowableMatrix(const AnalysisSnapshot& snap, std::span<const VertexId> sources,
+                         tg_util::ThreadPool* pool) {
   const size_t n = snap.vertex_count();
   BitMatrix rows(sources.size(), n);
-  if (deps != nullptr) {
-    *deps = BitMatrix(sources.size(), n);
-  }
   if (n == 0 || sources.empty()) {
     return rows;
   }
   SnapshotBfsOptions options;
   options.use_implicit = true;
-  options.vertex_mask = vertex_mask;
   tg_util::ThreadPool& runner = pool != nullptr ? *pool : tg_util::ThreadPool::Shared();
-  const std::vector<VertexId>& subjects =
-      subject_filter != nullptr ? *subject_filter : snap.Subjects();
+  const std::vector<VertexId>& subjects = snap.Subjects();
   const std::span<const VertexId> subject_span(subjects);
 
   // Stage 1 (bit-parallel sweeps).  heads_probe row i: everything the
   // reversed rw-initial-span language reaches from sources[i]; its subject
   // bits are the closure seeds.  boc row j / spans row j: one
   // bridge-or-connection word / one rw-terminal span from subjects[j].
-  // With deps requested, each sweep also reports its visited (touched)
-  // rows; probe_touched row i already contains sources[i] (BFS seed).
-  BitMatrix probe_touched;
-  BitMatrix boc_touched;
-  BitMatrix spans_touched;
   BitMatrix heads_probe =
-      deps != nullptr
-          ? SnapshotWordReachableAllTouched(snap, sources, tg::ReverseRwInitialSpanDfa(),
-                                            probe_touched, options, &runner)
-          : SnapshotWordReachableAll(snap, sources, tg::ReverseRwInitialSpanDfa(), options,
-                                     &runner);
-  BitMatrix boc = deps != nullptr
-                      ? SnapshotWordReachableAllTouched(snap, subject_span,
-                                                        tg::BridgeOrConnectionDfa(), boc_touched,
-                                                        options, &runner)
-                      : SnapshotWordReachableAll(snap, subject_span, tg::BridgeOrConnectionDfa(),
-                                                 options, &runner);
-  BitMatrix spans = deps != nullptr
-                        ? SnapshotWordReachableAllTouched(snap, subject_span,
-                                                          tg::RwTerminalSpanDfa(), spans_touched,
-                                                          options, &runner)
-                        : SnapshotWordReachableAll(snap, subject_span, tg::RwTerminalSpanDfa(),
-                                                   options, &runner);
+      SnapshotWordReachableAll(snap, sources, tg::ReverseRwInitialSpanDfa(), options, &runner);
+  BitMatrix boc =
+      SnapshotWordReachableAll(snap, subject_span, tg::BridgeOrConnectionDfa(), options, &runner);
+  BitMatrix spans =
+      SnapshotWordReachableAll(snap, subject_span, tg::RwTerminalSpanDfa(), options, &runner);
 
   constexpr uint32_t kNoSubject = 0xffffffffu;
   std::vector<uint32_t> subject_index(n, kNoSubject);
@@ -184,8 +145,6 @@ BitMatrix KnowableMatrixImpl(const AnalysisSnapshot& snap, std::span<const Verte
   for (size_t i = 0; i < subjects.size(); ++i) {
     VertexId u = subjects[i];
     tg::ForEachSetBit(boc.Row(i), [&](size_t v) {
-      // subject_index membership (not IsSubject): under a subject filter the
-      // digraph stays closed over the filtered universe.
       if (subject_index[v] != kNoSubject) {
         digraph[u].push_back(static_cast<VertexId>(v));
       }
@@ -203,27 +162,12 @@ BitMatrix KnowableMatrixImpl(const AnalysisSnapshot& snap, std::span<const Verte
       quotient, n, [&](uint32_t c, tg::ReachRow& row) {
         for (VertexId u : quotient.members[c]) {
           if (subject_index[u] == kNoSubject) {
-            continue;  // non-members of the subject universe seed nothing
+            continue;  // objects are singleton components that seed nothing
           }
           row.Set(u);
           row.OrDense(spans.Row(subject_index[u]));
         }
       });
-  std::vector<tg::ReachRow> full_dep;
-  if (deps != nullptr) {
-    // The component's footprint: every vertex the closure's BOC rounds or
-    // terminal spans from its members visit, plus (transitively) the
-    // footprints of successor components — mirroring the value fold.
-    full_dep = tg::QuotientClosure(quotient, n, [&](uint32_t c, tg::ReachRow& row) {
-      for (VertexId u : quotient.members[c]) {
-        if (subject_index[u] == kNoSubject) {
-          continue;
-        }
-        row.OrDense(boc_touched.Row(subject_index[u]));
-        row.OrDense(spans_touched.Row(subject_index[u]));
-      }
-    });
-  }
 
   // Stage 3 (word-sliced, parallel): compose each source row as
   // {x} ∪ ∪_{h ∈ heads(x)} full[comp[h]].  Slices are fixed 64-row spans
@@ -241,11 +185,6 @@ BitMatrix KnowableMatrixImpl(const AnalysisSnapshot& snap, std::span<const Verte
       }
       std::span<uint64_t> row = rows.MutableRow(i);
       rows.Set(i, x);
-      if (deps != nullptr) {
-        // The probe's touched row covers x and everything its reverse-span
-        // BFS visited; component footprints fold in below alongside values.
-        OrInto(deps->MutableRow(i), probe_touched.Row(i));
-      }
       auto add_head = [&](VertexId h) {
         uint32_t c = comp[h];
         if (comp_seen[c]) {
@@ -254,9 +193,6 @@ BitMatrix KnowableMatrixImpl(const AnalysisSnapshot& snap, std::span<const Verte
         comp_seen[c] = true;
         touched.push_back(c);
         full[c].OrIntoDense(row);
-        if (deps != nullptr) {
-          full_dep[c].OrIntoDense(deps->MutableRow(i));
-        }
       };
       tg::ForEachSetBit(heads_probe.Row(i), [&](size_t v) {
         if (subject_index[v] != kNoSubject) {
@@ -273,96 +209,6 @@ BitMatrix KnowableMatrixImpl(const AnalysisSnapshot& snap, std::span<const Verte
     }
   });
   return rows;
-}
-
-}  // namespace
-
-BitMatrix KnowableMatrix(const AnalysisSnapshot& snap, std::span<const VertexId> sources,
-                         tg_util::ThreadPool* pool) {
-  return KnowableMatrixImpl(snap, sources, pool, nullptr);
-}
-
-BitMatrix KnowableMatrixWithDeps(const AnalysisSnapshot& snap, std::span<const VertexId> sources,
-                                 BitMatrix& deps, tg_util::ThreadPool* pool) {
-  return KnowableMatrixImpl(snap, sources, pool, &deps);
-}
-
-BitMatrix KnowableMatrixWithDepsScoped(const AnalysisSnapshot& snap,
-                                       std::span<const VertexId> sources,
-                                       std::span<const uint64_t> universe_words, BitMatrix& deps,
-                                       tg_util::ThreadPool* pool) {
-  std::vector<VertexId> scoped;
-  for (VertexId s : snap.Subjects()) {
-    if ((universe_words[s >> 6] >> (s & 63)) & 1) {
-      scoped.push_back(s);
-    }
-  }
-  return KnowableMatrixImpl(snap, sources, pool, &deps, &scoped, universe_words);
-}
-
-namespace {
-
-std::vector<std::vector<bool>> RowsFromSnapshot(const AnalysisSnapshot& snap,
-                                                const std::vector<VertexId>& sources,
-                                                tg_util::ThreadPool* pool) {
-  static tg_util::Counter& row_count = tg_util::GetCounter("batch.rows");
-  static tg_util::Histogram& run_ns = tg_util::GetHistogram("batch.run_ns");
-  row_count.Add(sources.size());
-  tg_util::QueryScope query(tg_util::QueryKind::kBatchRows, sources.size());
-  tg_util::ScopedTimer timer(run_ns);
-  tg_util::TraceSpan span(
-      tg_util::TraceKind::kBatchRows, sources.size(),
-      pool != nullptr ? pool->thread_count() : tg_util::ThreadPool::Shared().thread_count());
-  // Pre-warm the DFA singletons so worker threads only read them.  (Their
-  // initialization is thread-safe anyway; this keeps first-use timing out
-  // of the parallel region.)
-  tg::ReverseRwInitialSpanDfa();
-  tg::BridgeOrConnectionDfa();
-  tg::RwTerminalSpanDfa();
-  std::vector<std::vector<bool>> rows(sources.size());
-  tg_util::ThreadPool& runner = pool != nullptr ? *pool : tg_util::ThreadPool::Shared();
-  if (UseKnowableBitPipeline(sources.size(), snap.Subjects().size())) {
-    BitMatrix matrix = KnowableMatrix(snap, sources, &runner);
-    runner.ParallelFor(sources.size(), [&](size_t i) { rows[i] = matrix.RowBools(i); });
-  } else {
-    runner.ParallelFor(sources.size(),
-                       [&](size_t i) { rows[i] = KnowableFromSnapshot(snap, sources[i]); });
-  }
-  return rows;
-}
-
-std::vector<VertexId> AllVertexIds(size_t n) {
-  std::vector<VertexId> sources(n);
-  for (size_t v = 0; v < n; ++v) {
-    sources[v] = static_cast<VertexId>(v);
-  }
-  return sources;
-}
-
-}  // namespace
-
-std::vector<std::vector<bool>> KnowableFromAll(const tg::ProtectionGraph& g,
-                                               tg_util::ThreadPool* pool) {
-  AnalysisSnapshot snap(g);
-  return RowsFromSnapshot(snap, AllVertexIds(g.VertexCount()), pool);
-}
-
-std::vector<std::vector<bool>> KnowableFromMany(const tg::ProtectionGraph& g,
-                                                const std::vector<VertexId>& sources,
-                                                tg_util::ThreadPool* pool) {
-  AnalysisSnapshot snap(g);
-  return RowsFromSnapshot(snap, sources, pool);
-}
-
-std::vector<std::vector<bool>> KnowableFromAll(const AnalysisSnapshot& snap,
-                                               tg_util::ThreadPool* pool) {
-  return RowsFromSnapshot(snap, AllVertexIds(snap.vertex_count()), pool);
-}
-
-std::vector<std::vector<bool>> KnowableFromMany(const AnalysisSnapshot& snap,
-                                                const std::vector<VertexId>& sources,
-                                                tg_util::ThreadPool* pool) {
-  return RowsFromSnapshot(snap, sources, pool);
 }
 
 }  // namespace tg_analysis

@@ -1,17 +1,17 @@
-// Batch (all-pairs) information-flow analysis over a thread pool.
+// Knowable rows on a prebuilt snapshot, one source or many.
 //
-// The can_know security analyses reduce to one independent closure per
-// source vertex; this module builds one immutable AnalysisSnapshot and
-// answers many sources at once.  Large batches run on the bit-parallel
-// engine (src/tg/bitset_reach.h): three 64-lane all-pairs sweeps (heads
-// probe, bridge-or-connection words, rw-terminal spans) plus one Tarjan
+// The can_know analyses reduce to one Theorem 3.2 closure per source
+// vertex.  KnowableFromSnapshot runs that closure for one source with the
+// scalar product BFS (the implementation behind KnowableFrom and the
+// AnalysisCache rows).  KnowableMatrix answers many sources at once on the
+// bit-parallel engine (src/tg/bitset_reach.h): three 64-lane sweeps (heads
+// probe, bridge-or-connection words, rw-terminal spans) plus one
 // condensation of the subject BOC digraph replace the per-source closure
 // loop, and the ThreadPool fans out 64-source word slices so the two
-// parallelism axes compose.  Small batches keep the scalar per-source
-// path.  Either way results are deterministic — row i of every matrix is
-// exactly what the serial KnowableFrom(g, sources[i]) computes, regardless
-// of engine choice, thread count, or scheduling — because slices and rows
-// are fixed by index and each worker writes only its own slots.
+// parallelism axes compose.  Results are deterministic — row i is exactly
+// what KnowableFromSnapshot(snap, sources[i]) computes, regardless of
+// thread count or scheduling — because slices and rows are fixed by index
+// and each worker writes only its own slots.
 
 #ifndef SRC_ANALYSIS_BATCH_H_
 #define SRC_ANALYSIS_BATCH_H_
@@ -20,15 +20,14 @@
 #include <vector>
 
 #include "src/tg/bitset_reach.h"
-#include "src/tg/graph.h"
 #include "src/tg/snapshot.h"
 #include "src/util/thread_pool.h"
 
 namespace tg_analysis {
 
 // KnowableFrom computed on a prebuilt snapshot (the shared scalar
-// implementation behind the graph-level KnowableFrom, the per-row cache,
-// and the small-batch fallback).  Invalid x yields an all-false row.
+// implementation behind the graph-level KnowableFrom and the per-row
+// cache).  Invalid x yields an all-false row.
 std::vector<bool> KnowableFromSnapshot(const tg::AnalysisSnapshot& snap, tg::VertexId x);
 
 // As KnowableFromSnapshot, additionally reassigning dep_words
@@ -40,61 +39,14 @@ std::vector<bool> KnowableFromSnapshot(const tg::AnalysisSnapshot& snap, tg::Ver
 std::vector<bool> KnowableFromSnapshotWithDeps(const tg::AnalysisSnapshot& snap, tg::VertexId x,
                                                std::vector<uint64_t>& dep_words);
 
-// All-pairs knowable matrix on a prebuilt snapshot: row i is
+// Knowable matrix on a prebuilt snapshot: row i is
 // KnowableFromSnapshot(snap, sources[i]) as a bit row, computed with the
-// bit-parallel pipeline (see file comment).  pool == nullptr uses
+// bit-parallel pipeline (see file comment).  Duplicate sources get
+// identical rows; invalid ones all-zero rows.  pool == nullptr uses
 // ThreadPool::Shared() (TG_THREADS-sized).
 tg::BitMatrix KnowableMatrix(const tg::AnalysisSnapshot& snap,
                              std::span<const tg::VertexId> sources,
                              tg_util::ThreadPool* pool = nullptr);
-
-// As KnowableMatrix, additionally reassigning deps to a
-// sources.size() x vertex_count matrix whose row i is the dependency
-// footprint of result row i (composed through the condensation exactly as
-// the result rows are, so it covers every vertex the scalar pipeline for
-// sources[i] would visit).
-tg::BitMatrix KnowableMatrixWithDeps(const tg::AnalysisSnapshot& snap,
-                                     std::span<const tg::VertexId> sources, tg::BitMatrix& deps,
-                                     tg_util::ThreadPool* pool = nullptr);
-
-// The bit-pipeline vs scalar crossover heuristic used by
-// KnowableFromAll/Many: batches too small to amortize the subject-wide
-// matrix sweeps take the scalar per-source path instead.
-bool UseKnowableBitPipeline(size_t source_count, size_t subject_count);
-
-// Scoped repair variant of KnowableMatrixWithDeps: the closure stages (BOC
-// digraph and terminal spans) sweep only the subjects whose bit is set in
-// universe_words ((vertex_count + 63) / 64 words) instead of every subject,
-// so the cost scales with the universe, not the snapshot.  Rows and dep
-// rows are bit-identical to the unscoped pipeline for every source whose
-// dependency footprint is contained in the universe — which AnalysisCache
-// guarantees by seeding the universe with each dirty row's old footprint
-// plus the connected components of the mutated region (DESIGN.md §10).
-tg::BitMatrix KnowableMatrixWithDepsScoped(const tg::AnalysisSnapshot& snap,
-                                           std::span<const tg::VertexId> sources,
-                                           std::span<const uint64_t> universe_words,
-                                           tg::BitMatrix& deps,
-                                           tg_util::ThreadPool* pool = nullptr);
-
-// The full can_know matrix: row x is KnowableFrom(g, x) for every vertex.
-// One snapshot build + the bit-parallel pipeline.
-std::vector<std::vector<bool>> KnowableFromAll(const tg::ProtectionGraph& g,
-                                               tg_util::ThreadPool* pool = nullptr);
-
-// Rows only for the given sources (deduplicated work is the caller's
-// concern; invalid sources get all-false rows).  Row i corresponds to
-// sources[i].
-std::vector<std::vector<bool>> KnowableFromMany(const tg::ProtectionGraph& g,
-                                                const std::vector<tg::VertexId>& sources,
-                                                tg_util::ThreadPool* pool = nullptr);
-
-// Snapshot overloads for callers that already hold one (e.g. through an
-// AnalysisCache): no snapshot build, otherwise identical.
-std::vector<std::vector<bool>> KnowableFromAll(const tg::AnalysisSnapshot& snap,
-                                               tg_util::ThreadPool* pool = nullptr);
-std::vector<std::vector<bool>> KnowableFromMany(const tg::AnalysisSnapshot& snap,
-                                                const std::vector<tg::VertexId>& sources,
-                                                tg_util::ThreadPool* pool = nullptr);
 
 }  // namespace tg_analysis
 

@@ -46,8 +46,8 @@ std::vector<bool> BridgeClosure(const tg::ProtectionGraph& g,
 std::vector<bool> BridgeOrConnectionClosure(const tg::ProtectionGraph& g,
                                             const std::vector<tg::VertexId>& seeds);
 
-// Snapshot overloads of the closures for batch drivers and caches that
-// reuse one AnalysisSnapshot across many queries (bit-identical results;
+// Snapshot overloads of the closures for the knowable pipeline and caches
+// that reuse one AnalysisSnapshot across many queries (bit-identical results;
 // the graph overloads above are thin wrappers over these).
 std::vector<bool> BridgeClosure(const tg::AnalysisSnapshot& snap,
                                 const std::vector<tg::VertexId>& seeds);

@@ -1,7 +1,6 @@
 #include "src/analysis/cache.h"
 
 #include <algorithm>
-#include <bit>
 #include <span>
 
 #include "src/analysis/batch.h"
@@ -11,7 +10,6 @@
 namespace tg_analysis {
 
 using tg::AnalysisSnapshot;
-using tg::BitMatrix;
 using tg::VertexId;
 
 namespace {
@@ -22,72 +20,11 @@ struct CacheMetrics {
   tg_util::Counter& evictions = tg_util::GetCounter("cache.evictions");
   tg_util::Counter& rebuilds = tg_util::GetCounter("cache.snapshot_rebuilds");
   tg_util::Counter& rows_reused = tg_util::GetCounter("incremental.rows_reused");
-  tg_util::Counter& slices_repaired = tg_util::GetCounter("incremental.slices_repaired");
 };
 
 CacheMetrics& Metrics() {
   static CacheMetrics metrics;
   return metrics;
-}
-
-// A copy of `old` grown to rows x cols; the new tail rows and columns are
-// zero (sound for survivors: a row whose footprint misses every affected
-// vertex cannot reach a vertex appended by the same batch, since the first
-// edge into the new region has an affected old endpoint — DESIGN.md §10).
-BitMatrix GrownMatrix(const BitMatrix& old, size_t rows, size_t cols) {
-  BitMatrix out(rows, cols);
-  for (size_t r = 0; r < old.rows(); ++r) {
-    std::span<const uint64_t> src = old.Row(r);
-    std::span<uint64_t> dst = out.MutableRow(r);
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-  return out;
-}
-
-void AssignRowWords(BitMatrix& m, size_t r, std::span<const uint64_t> words) {
-  std::span<uint64_t> dst = m.MutableRow(r);
-  std::copy(words.begin(), words.end(), dst.begin());
-  std::fill(dst.begin() + words.size(), dst.end(), 0);
-}
-
-// ORs into `words` every vertex connected in the snapshot — ignoring edge
-// direction and labels — to a seed: a set bit of seed_words or a vertex id
-// at or past first_new_vertex (the batch's appended tail).  The result
-// over-approximates any walk out of the mutated region, since adjacency
-// records cover both directions and implicit edges.
-void OrConnectedRegion(const AnalysisSnapshot& snap, const std::vector<uint64_t>& seed_words,
-                       size_t first_new_vertex, std::vector<uint64_t>& words) {
-  const size_t n = snap.vertex_count();
-  std::vector<uint64_t> region((n + 63) / 64, 0);
-  std::vector<VertexId> stack;
-  auto push = [&](VertexId v) {
-    uint64_t& w = region[v >> 6];
-    const uint64_t bit = uint64_t{1} << (v & 63);
-    if ((w & bit) == 0) {
-      w |= bit;
-      stack.push_back(v);
-    }
-  };
-  for (size_t w = 0; w < seed_words.size(); ++w) {
-    uint64_t bits = seed_words[w];
-    while (bits != 0) {
-      push(static_cast<VertexId>(w * 64 + static_cast<size_t>(std::countr_zero(bits))));
-      bits &= bits - 1;
-    }
-  }
-  for (size_t v = first_new_vertex; v < n; ++v) {
-    push(static_cast<VertexId>(v));
-  }
-  while (!stack.empty()) {
-    VertexId v = stack.back();
-    stack.pop_back();
-    for (const AnalysisSnapshot::AdjRecord& rec : snap.AdjacencyOf(v)) {
-      push(rec.to);
-    }
-  }
-  for (size_t w = 0; w < words.size(); ++w) {
-    words[w] |= region[w];
-  }
 }
 
 }  // namespace
@@ -99,8 +36,6 @@ void AnalysisCache::Invalidate() {
   overlay_.Reset();
   reach_.clear();
   knowable_.clear();
-  reach_all_.clear();
-  knowable_all_.reset();
 }
 
 void AnalysisCache::FullRebuild(const tg::ProtectionGraph& g) {
@@ -143,133 +78,39 @@ void AnalysisCache::Refresh(const tg::ProtectionGraph& g) {
 
 void AnalysisCache::RepairEntries(const std::vector<uint64_t>& affected_words,
                                   size_t old_vertex_count, bool grew) {
-  const AnalysisSnapshot& snap = overlay_.snapshot();
-  const size_t n = snap.vertex_count();
+  const size_t n = overlay_.snapshot().vertex_count();
   const size_t old_n = old_vertex_count;
-
-  auto dirty_hit = [&](std::span<const uint64_t> deps) {
-    const size_t limit = std::min(deps.size(), affected_words.size());
-    for (size_t w = 0; w < limit; ++w) {
-      if ((deps[w] & affected_words[w]) != 0) {
-        return true;
-      }
-    }
-    return false;
-  };
-
   size_t rows_kept = 0;
-  size_t slices_redone = 0;
 
-  // Single-source entries: erase the dirty ones (the next query recomputes
-  // them), keep and extend the clean ones.  An entry computed for a source
-  // id that was invalid then (all-false row, empty footprint) must not
-  // survive that id becoming valid.
-  for (auto it = reach_.begin(); it != reach_.end();) {
-    const bool source_became_valid = grew && it->first.source >= old_n &&
-                                     it->first.source < n;
-    if (source_became_valid || dirty_hit(it->second.deps)) {
-      it = reach_.erase(it);
-    } else {
+  // Erase the dirty rows (the next query recomputes them), keep and extend
+  // the clean ones.  A row computed for a source id that was invalid then
+  // (all-false row, empty footprint) must not survive that id becoming
+  // valid.
+  auto reconcile = [&](auto& rows, auto source_of) {
+    for (auto it = rows.begin(); it != rows.end();) {
+      const VertexId source = source_of(it->first);
+      const std::vector<uint64_t>& deps = it->second.deps;
+      const size_t limit = std::min(deps.size(), affected_words.size());
+      bool dirty = grew && source >= old_n && source < n;
+      for (size_t w = 0; w < limit && !dirty; ++w) {
+        dirty = (deps[w] & affected_words[w]) != 0;
+      }
+      if (dirty) {
+        it = rows.erase(it);
+        continue;
+      }
       if (n > old_n) {
         it->second.value.resize(n, false);
       }
       ++rows_kept;
       ++it;
     }
-  }
-  for (auto it = knowable_.begin(); it != knowable_.end();) {
-    const bool source_became_valid = grew && it->first >= old_n && it->first < n;
-    if (source_became_valid || dirty_hit(it->second.deps)) {
-      it = knowable_.erase(it);
-    } else {
-      if (n > old_n) {
-        it->second.value.resize(n, false);
-      }
-      ++rows_kept;
-      ++it;
-    }
-  }
-
-  // All-pairs matrices: recompute only the dirty rows (plus rows for
-  // appended vertices), in 64-lane slices; clean rows stay in place.
-  for (auto& [key, entry] : reach_all_) {
-    std::vector<VertexId> dirty;
-    for (size_t r = 0; r < old_n; ++r) {
-      if (dirty_hit(entry.deps.Row(r))) {
-        dirty.push_back(static_cast<VertexId>(r));
-      } else {
-        ++rows_kept;
-      }
-    }
-    for (size_t r = old_n; r < n; ++r) {
-      dirty.push_back(static_cast<VertexId>(r));
-    }
-    if (n > old_n) {
-      entry.value = GrownMatrix(entry.value, n, n);
-      entry.deps = GrownMatrix(entry.deps, n, n);
-    }
-    if (dirty.empty()) {
-      continue;
-    }
-    tg::SnapshotBfsOptions options{key.use_implicit, key.min_steps};
-    BitMatrix fresh_deps;
-    BitMatrix fresh =
-        tg::SnapshotWordReachableAllTouched(snap, dirty, *key.dfa, fresh_deps, options);
-    for (size_t i = 0; i < dirty.size(); ++i) {
-      AssignRowWords(entry.value, dirty[i], fresh.Row(i));
-      AssignRowWords(entry.deps, dirty[i], fresh_deps.Row(i));
-    }
-    slices_redone += (dirty.size() + 63) / 64;
-  }
-
-  if (knowable_all_.has_value()) {
-    MatrixEntry& entry = *knowable_all_;
-    std::vector<VertexId> dirty;
-    for (size_t r = 0; r < old_n; ++r) {
-      if (dirty_hit(entry.deps.Row(r))) {
-        dirty.push_back(static_cast<VertexId>(r));
-      } else {
-        ++rows_kept;
-      }
-    }
-    for (size_t r = old_n; r < n; ++r) {
-      dirty.push_back(static_cast<VertexId>(r));
-    }
-    if (n > old_n) {
-      entry.value = GrownMatrix(entry.value, n, n);
-      entry.deps = GrownMatrix(entry.deps, n, n);
-    }
-    if (!dirty.empty()) {
-      // Scoped repair: a dirty row's new footprint is contained in its old
-      // footprint plus the connected components of the mutated region (a
-      // walk leaving the old footprint first crosses a mutated edge, whose
-      // endpoints seed the region, and components are closed under
-      // adjacency — DESIGN.md §10).  Sweeping only that universe's
-      // subjects makes repair cost scale with the damage rather than the
-      // subject count, while staying bit-identical to a fresh build.
-      std::vector<uint64_t> universe((n + 63) / 64, 0);
-      for (VertexId r : dirty) {
-        std::span<const uint64_t> old_deps = entry.deps.Row(r);
-        for (size_t w = 0; w < universe.size(); ++w) {
-          universe[w] |= old_deps[w];
-        }
-      }
-      OrConnectedRegion(snap, affected_words, old_n, universe);
-      BitMatrix fresh_deps;
-      BitMatrix fresh = KnowableMatrixWithDepsScoped(snap, dirty, universe, fresh_deps);
-      for (size_t i = 0; i < dirty.size(); ++i) {
-        AssignRowWords(entry.value, dirty[i], fresh.Row(i));
-        AssignRowWords(entry.deps, dirty[i], fresh_deps.Row(i));
-      }
-      slices_redone += (dirty.size() + 63) / 64;
-    }
-  }
+  };
+  reconcile(reach_, [](const ReachKey& key) { return key.source; });
+  reconcile(knowable_, [](VertexId x) { return x; });
 
   if (rows_kept > 0) {
     Metrics().rows_reused.Add(rows_kept);
-  }
-  if (slices_redone > 0) {
-    Metrics().slices_repaired.Add(slices_redone);
   }
 }
 
@@ -282,8 +123,8 @@ void AnalysisCache::EvictIfFull() {
   if (entry_count() < max_entries_) {
     return;
   }
-  // Median last-used tick over all entries; dropping everything at or
-  // below it removes about half (ticks are unique, so at least one).
+  // Median last-used tick over all rows; dropping everything at or below
+  // it removes about half (ticks are unique, so at least one).
   std::vector<uint64_t> ticks;
   ticks.reserve(entry_count());
   for (const auto& [key, entry] : reach_) {
@@ -292,44 +133,15 @@ void AnalysisCache::EvictIfFull() {
   for (const auto& [key, entry] : knowable_) {
     ticks.push_back(entry.last_used);
   }
-  for (const auto& [key, entry] : reach_all_) {
-    ticks.push_back(entry.last_used);
-  }
-  if (knowable_all_.has_value()) {
-    ticks.push_back(knowable_all_->last_used);
-  }
   auto median = ticks.begin() + ticks.size() / 2;
   std::nth_element(ticks.begin(), median, ticks.end());
-  uint64_t cutoff = *median;
+  const uint64_t cutoff = *median;
   size_t dropped = 0;
-  for (auto it = reach_.begin(); it != reach_.end();) {
-    if (it->second.last_used <= cutoff) {
-      it = reach_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = knowable_.begin(); it != knowable_.end();) {
-    if (it->second.last_used <= cutoff) {
-      it = knowable_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = reach_all_.begin(); it != reach_all_.end();) {
-    if (it->second.last_used <= cutoff) {
-      it = reach_all_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  if (knowable_all_.has_value() && knowable_all_->last_used <= cutoff) {
-    knowable_all_.reset();
-    ++dropped;
-  }
+  auto drop_stale = [&](auto& rows) {
+    dropped += std::erase_if(rows, [&](const auto& kv) { return kv.second.last_used <= cutoff; });
+  };
+  drop_stale(reach_);
+  drop_stale(knowable_);
   evictions_ += dropped;
   Metrics().evictions.Add(dropped);
 }
@@ -351,7 +163,7 @@ const std::vector<bool>& AnalysisCache::Reachable(const tg::ProtectionGraph& g,
   EvictIfFull();
   tg::SnapshotBfsOptions options{use_implicit, min_steps};
   const VertexId sources[] = {source};
-  Entry<std::vector<bool>> entry;
+  Entry entry;
   entry.value =
       SnapshotWordReachableTouched(overlay_.snapshot(), sources, dfa, entry.deps, options);
   entry.last_used = Touch();
@@ -372,67 +184,10 @@ const std::vector<bool>& AnalysisCache::Knowable(const tg::ProtectionGraph& g, V
   ++misses_;
   Metrics().misses.Add();
   EvictIfFull();
-  Entry<std::vector<bool>> entry;
+  Entry entry;
   entry.value = KnowableFromSnapshotWithDeps(overlay_.snapshot(), x, entry.deps);
   entry.last_used = Touch();
   return knowable_.emplace(x, std::move(entry)).first->second.value;
-}
-
-const tg::BitMatrix& AnalysisCache::ReachableAll(const tg::ProtectionGraph& g,
-                                                 const tg_util::Dfa& dfa, bool use_implicit,
-                                                 uint32_t min_steps,
-                                                 tg_util::ThreadPool* pool) {
-  tg_util::QueryScope query(tg_util::QueryKind::kReachableAll);
-  Refresh(g);
-  AllKey key{&dfa, use_implicit, min_steps};
-  auto it = reach_all_.find(key);
-  if (it != reach_all_.end()) {
-    ++hits_;
-    Metrics().hits.Add();
-    it->second.last_used = Touch();
-    query.set_result(1);  // cache hit
-    return it->second.value;
-  }
-  ++misses_;
-  Metrics().misses.Add();
-  EvictIfFull();
-  tg::SnapshotBfsOptions options{use_implicit, min_steps};
-  const AnalysisSnapshot& snap = overlay_.snapshot();
-  std::vector<VertexId> sources(snap.vertex_count());
-  for (size_t v = 0; v < sources.size(); ++v) {
-    sources[v] = static_cast<VertexId>(v);
-  }
-  MatrixEntry entry;
-  entry.value = tg::SnapshotWordReachableAllTouched(snap, sources, dfa, entry.deps, options,
-                                                    pool);
-  entry.last_used = Touch();
-  return reach_all_.emplace(key, std::move(entry)).first->second.value;
-}
-
-const tg::BitMatrix& AnalysisCache::KnowableAll(const tg::ProtectionGraph& g,
-                                                tg_util::ThreadPool* pool) {
-  tg_util::QueryScope query(tg_util::QueryKind::kKnowableAll);
-  Refresh(g);
-  if (knowable_all_.has_value()) {
-    ++hits_;
-    Metrics().hits.Add();
-    knowable_all_->last_used = Touch();
-    query.set_result(1);  // cache hit
-    return knowable_all_->value;
-  }
-  ++misses_;
-  Metrics().misses.Add();
-  EvictIfFull();
-  const AnalysisSnapshot& snap = overlay_.snapshot();
-  std::vector<VertexId> sources(snap.vertex_count());
-  for (size_t v = 0; v < sources.size(); ++v) {
-    sources[v] = static_cast<VertexId>(v);
-  }
-  MatrixEntry entry;
-  entry.value = KnowableMatrixWithDeps(snap, sources, entry.deps, pool);
-  entry.last_used = Touch();
-  knowable_all_.emplace(std::move(entry));
-  return knowable_all_->value;
 }
 
 bool AnalysisCache::CanKnow(const tg::ProtectionGraph& g, VertexId x, VertexId y) {

@@ -103,9 +103,9 @@ bool CanKnow(const ProtectionGraph& g, VertexId x, VertexId y) {
 }
 
 std::vector<bool> KnowableFrom(const ProtectionGraph& g, VertexId x) {
-  // One shared implementation with the batch drivers and the analysis
-  // cache (src/analysis/batch.cc), so serial, parallel, and cached
-  // queries are bit-identical by construction.
+  // One shared implementation with the analysis cache's rows
+  // (src/analysis/batch.cc), so serial and cached queries are
+  // bit-identical by construction.
   return KnowableFromSnapshot(tg::AnalysisSnapshot(g), x);
 }
 

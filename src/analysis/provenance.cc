@@ -39,11 +39,9 @@ constexpr const char* kDeltaCounters[] = {
     "snapshot.builds",
     "incremental.overlay_patches",
     "incremental.rows_reused",
-    "incremental.slices_repaired",
     "bfs.runs",
     "bfs.node_visits",
     "bitreach.slices",
-    "batch.rows",
 };
 
 std::vector<uint64_t> SnapshotCounters() {

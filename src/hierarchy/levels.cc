@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 #include "src/tg/bitset_reach.h"
 #include "src/tg/condense.h"
@@ -130,64 +131,20 @@ std::vector<std::vector<VertexId>> KnowStepDigraph(const ProtectionGraph& g) {
   return adj;
 }
 
-namespace {
-
-// Converts subject-indexed BOC reach rows to the adjacency-list digraph
-// (subjects only, self-edges dropped, neighbors ascending — the exact list
-// the scalar per-subject construction builds).  row_of(i) is the matrix
-// row for subjects[i].
-template <typename RowOf>
-std::vector<std::vector<VertexId>> DigraphFromBocRows(const tg::AnalysisSnapshot& snap,
-                                                      const RowOf& row_of,
-                                                      tg_util::ThreadPool& runner) {
-  const std::vector<VertexId>& subjects = snap.Subjects();
-  std::vector<std::vector<VertexId>> adj(snap.vertex_count());
-  runner.ParallelFor(subjects.size(), [&](size_t i) {
-    const VertexId u = subjects[i];
-    tg::ForEachSetBit(row_of(i), [&](size_t v) {
-      if (v != u && snap.IsSubject(static_cast<VertexId>(v))) {
-        adj[u].push_back(static_cast<VertexId>(v));
-      }
-    });
-  });
-  return adj;
-}
-
-// The original per-subject scalar construction, retained as the
-// differential baseline for BocDigraph.
-std::vector<std::vector<VertexId>> BocDigraphScalar(const tg::AnalysisSnapshot& snap,
-                                                    tg_util::ThreadPool* pool) {
-  const size_t n = snap.vertex_count();
-  std::vector<std::vector<VertexId>> adj(n);
-  const tg_util::Dfa& dfa = tg::BridgeOrConnectionDfa();  // pre-warm singleton
-  tg::SnapshotBfsOptions options;
-  options.use_implicit = true;
-  tg_util::ThreadPool& runner = pool != nullptr ? *pool : tg_util::ThreadPool::Shared();
-  // One product BFS per subject, each writing only its own row: the result
-  // is identical for any thread count.
-  runner.ParallelFor(n, [&](size_t u) {
-    if (!snap.IsSubject(static_cast<VertexId>(u))) {
-      return;
-    }
-    const VertexId sources[] = {static_cast<VertexId>(u)};
-    std::vector<bool> reach = SnapshotWordReachable(snap, sources, dfa, options);
-    for (VertexId v = 0; v < n; ++v) {
-      if (v != u && reach[v] && snap.IsSubject(v)) {
-        adj[u].push_back(v);
-      }
-    }
-  });
-  return adj;
-}
-
-}  // namespace
-
 std::vector<std::vector<VertexId>> BocDigraph(const tg::AnalysisSnapshot& snap,
                                               tg_util::ThreadPool* pool) {
   tg::SnapshotBfsOptions options;
   options.use_implicit = true;
   tg_util::ThreadPool& runner = pool != nullptr ? *pool : tg_util::ThreadPool::Shared();
   const std::vector<VertexId>& subjects = snap.Subjects();
+  std::vector<std::vector<VertexId>> adj(snap.vertex_count());
+  // Reach rows arrive ascending, so each list is sorted; only subjects are
+  // kept and self-edges are dropped.
+  auto add_edge = [&](VertexId u, size_t v) {
+    if (v != u && snap.IsSubject(static_cast<VertexId>(v))) {
+      adj[u].push_back(static_cast<VertexId>(v));
+    }
+  };
   if (tg::BitMatrix::AllocationBytes(subjects.size(), snap.vertex_count()) >
       tg::BitMatrix::MaxBytes()) {
     // Dense subject x vertex matrix over the cap: hold the BOC relation as
@@ -196,26 +153,17 @@ std::vector<std::vector<VertexId>> BocDigraph(const tg::AnalysisSnapshot& snap,
     std::vector<tg::ReachRow> rows = tg::SnapshotWordReachableAllRows(
         snap, std::span<const VertexId>(subjects), tg::BridgeOrConnectionDfa(), options,
         &runner);
-    std::vector<std::vector<VertexId>> adj(snap.vertex_count());
     runner.ParallelFor(subjects.size(), [&](size_t i) {
-      const VertexId u = subjects[i];
-      rows[i].ForEachSetBit([&](size_t v) {
-        if (v != u && snap.IsSubject(static_cast<VertexId>(v))) {
-          adj[u].push_back(static_cast<VertexId>(v));
-        }
-      });
+      rows[i].ForEachSetBit([&](size_t v) { add_edge(subjects[i], v); });
     });
     return adj;
   }
   tg::BitMatrix reach = tg::SnapshotWordReachableAll(
       snap, std::span<const VertexId>(subjects), tg::BridgeOrConnectionDfa(), options, &runner);
-  return DigraphFromBocRows(snap, [&](size_t i) { return reach.Row(i); }, runner);
-}
-
-std::vector<std::vector<VertexId>> BocDigraph(const ProtectionGraph& g,
-                                              tg_util::ThreadPool* pool) {
-  tg::AnalysisSnapshot snap(g);
-  return BocDigraph(snap, pool);
+  runner.ParallelFor(subjects.size(), [&](size_t i) {
+    tg::ForEachSetBit(reach.Row(i), [&](size_t v) { add_edge(subjects[i], v); });
+  });
+  return adj;
 }
 
 std::vector<uint32_t> StronglyConnectedComponents(
@@ -288,37 +236,27 @@ std::vector<bool> SubjectMask(const ProtectionGraph& g) {
   return subjects;
 }
 
+// The one ComputeRwtgLevels body behind both overloads: the cache's
+// snapshot when there is one, else a fresh build.
+LevelAssignment RwtgLevelsImpl(const ProtectionGraph& g, tg_analysis::AnalysisCache* cache,
+                               tg_util::ThreadPool* pool) {
+  tg_util::QueryScope query(tg_util::QueryKind::kRwtgLevels);
+  std::optional<tg::AnalysisSnapshot> owned;
+  const tg::AnalysisSnapshot& snap = cache != nullptr ? cache->Snapshot(g) : owned.emplace(g);
+  LevelAssignment levels = LevelsFromDigraph(BocDigraph(snap, pool), SubjectMask(g));
+  query.set_result(levels.LevelCount());
+  return levels;
+}
+
 }  // namespace
 
 LevelAssignment ComputeRwtgLevels(const ProtectionGraph& g, tg_util::ThreadPool* pool) {
-  tg_util::QueryScope query(tg_util::QueryKind::kRwtgLevels);
-  LevelAssignment levels = LevelsFromDigraph(BocDigraph(g, pool), SubjectMask(g));
-  query.set_result(levels.LevelCount());
-  return levels;
+  return RwtgLevelsImpl(g, nullptr, pool);
 }
 
 LevelAssignment ComputeRwtgLevels(const ProtectionGraph& g, tg_analysis::AnalysisCache& cache,
                                   tg_util::ThreadPool* pool) {
-  tg_util::QueryScope query(tg_util::QueryKind::kRwtgLevels);
-  const tg::AnalysisSnapshot& snap = cache.Snapshot(g);
-  // The cached matrix is all-vertices (row v = BOC reach from v) so the
-  // same entry serves CheckSecure / FindCrossLevelChannels; non-subject
-  // rows are simply skipped here.
-  const tg::BitMatrix& reach =
-      cache.ReachableAll(g, tg::BridgeOrConnectionDfa(), /*use_implicit=*/true,
-                         /*min_steps=*/0, pool);
-  tg_util::ThreadPool& runner = pool != nullptr ? *pool : tg_util::ThreadPool::Shared();
-  const std::vector<VertexId>& subjects = snap.Subjects();
-  std::vector<std::vector<VertexId>> adj =
-      DigraphFromBocRows(snap, [&](size_t i) { return reach.Row(subjects[i]); }, runner);
-  LevelAssignment levels = LevelsFromDigraph(adj, SubjectMask(g));
-  query.set_result(levels.LevelCount());
-  return levels;
-}
-
-LevelAssignment ComputeRwtgLevelsScalar(const ProtectionGraph& g, tg_util::ThreadPool* pool) {
-  tg::AnalysisSnapshot snap(g);
-  return LevelsFromDigraph(BocDigraphScalar(snap, pool), SubjectMask(g));
+  return RwtgLevelsImpl(g, &cache, pool);
 }
 
 void AssignObjectLevels(const ProtectionGraph& g, LevelAssignment& assignment) {

@@ -101,12 +101,10 @@ std::vector<std::vector<tg::VertexId>> KnowStepDigraph(const tg::ProtectionGraph
 // rwtg-path from u to v carries a word in B U C.  Non-subjects have empty
 // adjacency.  Built with the bit-parallel engine (64 subjects per product
 // BFS, slices fanned over `pool`; nullptr = the shared TG_THREADS-sized
-// pool); the result is deterministic for any pool size and identical to
-// the scalar per-subject construction.
-std::vector<std::vector<tg::VertexId>> BocDigraph(const tg::ProtectionGraph& g,
-                                                  tg_util::ThreadPool* pool = nullptr);
-
-// Same over a prebuilt snapshot (no snapshot build).
+// pool) into a subject x vertex bit matrix, or into hybrid ReachRows when
+// that matrix would exceed BitMatrix::MaxBytes(); the result is
+// deterministic for any pool size and identical to a per-subject scalar
+// construction.
 std::vector<std::vector<tg::VertexId>> BocDigraph(const tg::AnalysisSnapshot& snap,
                                                   tg_util::ThreadPool* pool = nullptr);
 
@@ -130,19 +128,12 @@ LevelAssignment ComputeRwLevels(const tg::ProtectionGraph& g);
 LevelAssignment ComputeRwtgLevels(const tg::ProtectionGraph& g,
                                   tg_util::ThreadPool* pool = nullptr);
 
-// Cache-aware overload: reuses the cache's snapshot and its epoch-keyed
-// all-pairs BOC reach matrix (shared with CheckSecure and
-// FindCrossLevelChannels), so repeated level queries between mutations do
-// no graph work at all.  Identical assignment to the other overloads.
+// Cache-aware overload: runs on the cache's overlay-patched snapshot
+// (shared with CheckSecure and FindCrossLevelChannels) instead of building
+// one.  Identical assignment to the other overloads.
 LevelAssignment ComputeRwtgLevels(const tg::ProtectionGraph& g,
                                   tg_analysis::AnalysisCache& cache,
                                   tg_util::ThreadPool* pool = nullptr);
-
-// Reference implementation running one scalar product BFS per subject.
-// Kept as the differential-test and benchmark baseline for the
-// bit-parallel path; produces the identical assignment.
-LevelAssignment ComputeRwtgLevelsScalar(const tg::ProtectionGraph& g,
-                                        tg_util::ThreadPool* pool = nullptr);
 
 // Applies the paper's object-level rule to `assignment`: an object belongs
 // to the *lowest* level of any subject with explicit r or w access to it

@@ -1,8 +1,8 @@
 #include "src/hierarchy/secure.h"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
+#include <optional>
 
 #include "src/analysis/batch.h"
 #include "src/analysis/can_know.h"
@@ -397,6 +397,45 @@ SecurityReport CheckSecureBridgeEnum(const ProtectionGraph& g, const tg::Analysi
   return report;
 }
 
+// The snapshot an audit verb runs on: the cache's overlay-patched one, or
+// a fresh build held in `owned`.  Called inside the verb's query scope and
+// only once the verb knows it has work, so the snapshot build is traced
+// as part of the query and skipped when there is nothing to check.
+const tg::AnalysisSnapshot& AuditSnapshot(const ProtectionGraph& g,
+                                          tg_analysis::AnalysisCache* cache,
+                                          std::optional<tg::AnalysisSnapshot>& owned) {
+  return cache != nullptr ? cache->Snapshot(g) : owned.emplace(g);
+}
+
+// The one CheckSecure body behind both overloads.
+SecurityReport CheckSecureImpl(const ProtectionGraph& g, const LevelAssignment& assignment,
+                               tg_analysis::AnalysisCache* cache, size_t max_violations,
+                               tg_util::ThreadPool* pool, AuditEngine engine) {
+  tg_util::QueryScope query(tg_util::QueryKind::kCheckSecure, 1);
+  std::vector<VertexId> candidates = SecureCandidates(g, assignment);
+  if (candidates.empty()) {
+    return SecurityReport{};
+  }
+  std::optional<tg::AnalysisSnapshot> owned;
+  const tg::AnalysisSnapshot& snap = AuditSnapshot(g, cache, owned);
+  SecurityReport report;
+  const AuditEngine resolved = ResolveAuditEngine(g, assignment, engine);
+  if (resolved == AuditEngine::kSharded) {
+    report = CheckSecureSharded(g, snap, assignment, candidates, max_violations, pool);
+  } else if (resolved == AuditEngine::kBridgeEnum) {
+    report = CheckSecureBridgeEnum(g, snap, assignment, candidates, max_violations);
+  } else {
+    // One knowable bit row per candidate from the bit-parallel pipeline,
+    // 64 candidates per product BFS.
+    tg::BitMatrix rows = tg_analysis::KnowableMatrix(snap, candidates, pool);
+    report = EmitViolations(
+        g, assignment, candidates, [&](size_t i, VertexId y) { return rows.Test(i, y); },
+        max_violations);
+  }
+  query.set_verdict(report.secure);
+  return report;
+}
+
 }  // namespace
 
 AuditEngine ResolveAuditEngine(const ProtectionGraph& g, const LevelAssignment& assignment,
@@ -426,62 +465,13 @@ AuditEngine ResolveAuditEngine(const ProtectionGraph& g, const LevelAssignment& 
 SecurityReport CheckSecure(const ProtectionGraph& g, const LevelAssignment& assignment,
                            size_t max_violations, tg_util::ThreadPool* pool,
                            AuditEngine engine) {
-  tg_util::QueryScope query(tg_util::QueryKind::kCheckSecure, 1);
-  std::vector<VertexId> candidates = SecureCandidates(g, assignment);
-  if (candidates.empty()) {
-    return SecurityReport{};
-  }
-  tg::AnalysisSnapshot snap(g);
-  SecurityReport report;
-  const AuditEngine resolved = ResolveAuditEngine(g, assignment, engine);
-  if (resolved == AuditEngine::kSharded) {
-    report = CheckSecureSharded(g, snap, assignment, candidates, max_violations, pool);
-  } else if (resolved == AuditEngine::kBridgeEnum) {
-    report = CheckSecureBridgeEnum(g, snap, assignment, candidates, max_violations);
-  } else {
-    // One knowable bit row per candidate from the bit-parallel pipeline,
-    // 64 candidates per product BFS.
-    tg::BitMatrix rows = tg_analysis::KnowableMatrix(snap, candidates, pool);
-    report = EmitViolations(
-        g, assignment, candidates, [&](size_t i, VertexId y) { return rows.Test(i, y); },
-        max_violations);
-  }
-  query.set_verdict(report.secure);
-  return report;
+  return CheckSecureImpl(g, assignment, nullptr, max_violations, pool, engine);
 }
 
 SecurityReport CheckSecure(const ProtectionGraph& g, const LevelAssignment& assignment,
                            tg_analysis::AnalysisCache& cache, size_t max_violations,
                            tg_util::ThreadPool* pool, AuditEngine engine) {
-  tg_util::QueryScope query(tg_util::QueryKind::kCheckSecure, 1);
-  std::vector<VertexId> candidates = SecureCandidates(g, assignment);
-  if (candidates.empty()) {
-    return SecurityReport{};
-  }
-  const AuditEngine resolved = ResolveAuditEngine(g, assignment, engine);
-  if (resolved == AuditEngine::kSharded || resolved == AuditEngine::kBridgeEnum) {
-    // Both scaled engines reuse the cache's overlay-patched snapshot (the
-    // expensive shared artifact); their summaries / index are cheap enough
-    // to recompute per audit, and the dense all-pairs matrix the cache
-    // would otherwise pin never materializes.
-    const tg::AnalysisSnapshot& snap = cache.Snapshot(g);
-    SecurityReport report =
-        resolved == AuditEngine::kSharded
-            ? CheckSecureSharded(g, snap, assignment, candidates, max_violations, pool)
-            : CheckSecureBridgeEnum(g, snap, assignment, candidates, max_violations);
-    query.set_verdict(report.secure);
-    return report;
-  }
-  // The cached matrix is all-vertices (row x = knowable from x); candidate
-  // i's row is simply row candidates[i].  Between calls the cache repairs
-  // only the rows whose footprints the intervening mutations touched, so a
-  // re-audit after a small delta reuses almost every row.
-  const tg::BitMatrix& all = cache.KnowableAll(g, pool);
-  SecurityReport report = EmitViolations(
-      g, assignment, candidates,
-      [&](size_t i, VertexId y) { return all.Test(candidates[i], y); }, max_violations);
-  query.set_verdict(report.secure);
-  return report;
+  return CheckSecureImpl(g, assignment, &cache, max_violations, pool, engine);
 }
 
 namespace {
@@ -630,6 +620,40 @@ std::vector<CrossLevelChannel> FindCrossLevelChannelsBridgeEnum(
   return channels;
 }
 
+// The one FindCrossLevelChannels body behind both overloads.
+std::vector<CrossLevelChannel> FindCrossLevelChannelsImpl(const ProtectionGraph& g,
+                                                          const LevelAssignment& assignment,
+                                                          tg_analysis::AnalysisCache* cache,
+                                                          size_t max_channels,
+                                                          tg_util::ThreadPool* pool,
+                                                          AuditEngine engine) {
+  tg_util::QueryScope query(tg_util::QueryKind::kCrossLevelChannels);
+  std::vector<VertexId> sources = ChannelSources(g, assignment);
+  if (sources.empty()) {
+    return {};
+  }
+  std::optional<tg::AnalysisSnapshot> owned;
+  const tg::AnalysisSnapshot& snap = AuditSnapshot(g, cache, owned);
+  std::vector<CrossLevelChannel> channels;
+  const AuditEngine resolved = ResolveAuditEngine(g, assignment, engine);
+  if (resolved == AuditEngine::kSharded) {
+    channels = FindCrossLevelChannelsSharded(g, snap, assignment, sources, max_channels, pool);
+  } else if (resolved == AuditEngine::kBridgeEnum) {
+    channels = FindCrossLevelChannelsBridgeEnum(g, snap, assignment, sources, max_channels);
+  } else {
+    tg::SnapshotBfsOptions snap_options;
+    snap_options.use_implicit = true;
+    tg::BitMatrix reach =
+        tg::SnapshotWordReachableAll(snap, std::span<const VertexId>(sources),
+                                     tg::BridgeOrConnectionDfa(), snap_options, pool);
+    channels = EmitChannels(
+        g, snap, assignment, sources, [&](size_t i, VertexId v) { return reach.Test(i, v); },
+        max_channels);
+  }
+  query.set_result(channels.size());
+  return channels;
+}
+
 }  // namespace
 
 std::vector<CrossLevelChannel> FindCrossLevelChannels(const ProtectionGraph& g,
@@ -637,31 +661,7 @@ std::vector<CrossLevelChannel> FindCrossLevelChannels(const ProtectionGraph& g,
                                                       size_t max_channels,
                                                       tg_util::ThreadPool* pool,
                                                       AuditEngine engine) {
-  tg_util::QueryScope query(tg_util::QueryKind::kCrossLevelChannels);
-  std::vector<VertexId> sources = ChannelSources(g, assignment);
-  if (sources.empty()) {
-    return {};
-  }
-  tg::AnalysisSnapshot snap(g);
-  const AuditEngine resolved = ResolveAuditEngine(g, assignment, engine);
-  if (resolved == AuditEngine::kSharded || resolved == AuditEngine::kBridgeEnum) {
-    std::vector<CrossLevelChannel> channels =
-        resolved == AuditEngine::kSharded
-            ? FindCrossLevelChannelsSharded(g, snap, assignment, sources, max_channels, pool)
-            : FindCrossLevelChannelsBridgeEnum(g, snap, assignment, sources, max_channels);
-    query.set_result(channels.size());
-    return channels;
-  }
-  tg::SnapshotBfsOptions snap_options;
-  snap_options.use_implicit = true;
-  tg::BitMatrix reach =
-      tg::SnapshotWordReachableAll(snap, std::span<const VertexId>(sources),
-                                   tg::BridgeOrConnectionDfa(), snap_options, pool);
-  std::vector<CrossLevelChannel> channels = EmitChannels(
-      g, snap, assignment, sources, [&](size_t i, VertexId v) { return reach.Test(i, v); },
-      max_channels);
-  query.set_result(channels.size());
-  return channels;
+  return FindCrossLevelChannelsImpl(g, assignment, nullptr, max_channels, pool, engine);
 }
 
 std::vector<CrossLevelChannel> FindCrossLevelChannels(const ProtectionGraph& g,
@@ -670,29 +670,7 @@ std::vector<CrossLevelChannel> FindCrossLevelChannels(const ProtectionGraph& g,
                                                       size_t max_channels,
                                                       tg_util::ThreadPool* pool,
                                                       AuditEngine engine) {
-  tg_util::QueryScope query(tg_util::QueryKind::kCrossLevelChannels);
-  std::vector<VertexId> sources = ChannelSources(g, assignment);
-  if (sources.empty()) {
-    return {};
-  }
-  const AuditEngine resolved = ResolveAuditEngine(g, assignment, engine);
-  if (resolved == AuditEngine::kSharded || resolved == AuditEngine::kBridgeEnum) {
-    const tg::AnalysisSnapshot& snap = cache.Snapshot(g);
-    std::vector<CrossLevelChannel> channels =
-        resolved == AuditEngine::kSharded
-            ? FindCrossLevelChannelsSharded(g, snap, assignment, sources, max_channels, pool)
-            : FindCrossLevelChannelsBridgeEnum(g, snap, assignment, sources, max_channels);
-    query.set_result(channels.size());
-    return channels;
-  }
-  const tg::BitMatrix& reach =
-      cache.ReachableAll(g, tg::BridgeOrConnectionDfa(), /*use_implicit=*/true,
-                         /*min_steps=*/0, pool);
-  std::vector<CrossLevelChannel> channels = EmitChannels(
-      g, cache.Snapshot(g), assignment, sources,
-      [&](size_t i, VertexId v) { return reach.Test(sources[i], v); }, max_channels);
-  query.set_result(channels.size());
-  return channels;
+  return FindCrossLevelChannelsImpl(g, assignment, &cache, max_channels, pool, engine);
 }
 
 bool SecureByTheorem52(const ProtectionGraph& g, const LevelAssignment& assignment) {
@@ -701,19 +679,22 @@ bool SecureByTheorem52(const ProtectionGraph& g, const LevelAssignment& assignme
 
 namespace {
 
-// Same source loop, pair filter, order, and cutoff as EmitChannels — the
-// typed list pairs up one-to-one with the untyped channel list — but each
-// hit expands to a DescribeChannel record (word type, pivot, typed witness,
-// replay verdict).
+// The one FindTypedCrossLevelChannels body: same source loop, pair
+// filter, order, and cutoff as EmitChannels — the typed list pairs up
+// one-to-one with the untyped channel list — but each hit expands to a
+// DescribeChannel record (word type, pivot, typed witness, replay
+// verdict).
 std::vector<TypedCrossLevelChannel> FindTypedCrossLevelChannelsImpl(
-    const ProtectionGraph& g, const tg::AnalysisSnapshot& snap,
-    const LevelAssignment& assignment, size_t max_channels) {
+    const ProtectionGraph& g, const LevelAssignment& assignment,
+    tg_analysis::AnalysisCache* cache, size_t max_channels) {
   tg_util::QueryScope query(tg_util::QueryKind::kCrossLevelChannels);
   const std::vector<VertexId> sources = ChannelSources(g, assignment);
   std::vector<TypedCrossLevelChannel> channels;
   if (sources.empty()) {
     return channels;
   }
+  std::optional<tg::AnalysisSnapshot> owned;
+  const tg::AnalysisSnapshot& snap = AuditSnapshot(g, cache, owned);
   const tg_analysis::BridgeEnumIndex index(snap);
   const size_t n = g.VertexCount();
   for (VertexId u : sources) {
@@ -747,14 +728,13 @@ std::vector<TypedCrossLevelChannel> FindTypedCrossLevelChannelsImpl(
 
 std::vector<TypedCrossLevelChannel> FindTypedCrossLevelChannels(
     const ProtectionGraph& g, const LevelAssignment& assignment, size_t max_channels) {
-  tg::AnalysisSnapshot snap(g);
-  return FindTypedCrossLevelChannelsImpl(g, snap, assignment, max_channels);
+  return FindTypedCrossLevelChannelsImpl(g, assignment, nullptr, max_channels);
 }
 
 std::vector<TypedCrossLevelChannel> FindTypedCrossLevelChannels(
     const ProtectionGraph& g, const LevelAssignment& assignment,
     tg_analysis::AnalysisCache& cache, size_t max_channels) {
-  return FindTypedCrossLevelChannelsImpl(g, cache.Snapshot(g), assignment, max_channels);
+  return FindTypedCrossLevelChannelsImpl(g, assignment, &cache, max_channels);
 }
 
 }  // namespace tg_hier

@@ -78,10 +78,10 @@ SecurityReport CheckSecure(const tg::ProtectionGraph& g, const LevelAssignment& 
                            size_t max_violations = 0, tg_util::ThreadPool* pool = nullptr,
                            AuditEngine engine = AuditEngine::kAuto);
 
-// Cache-aware overload: reuses the cache's snapshot and its epoch-keyed
-// all-pairs knowable matrix instead of rebuilding either, so an audit that
-// also computes levels and channels through the same cache does one
-// snapshot build total.  Identical report.
+// Cache-aware overload: runs the same audit on the cache's overlay-patched
+// snapshot instead of building one, so an audit that also computes levels
+// and channels through the same cache does one snapshot build total.  No
+// audit rows are memoized.  Identical report.
 SecurityReport CheckSecure(const tg::ProtectionGraph& g, const LevelAssignment& assignment,
                            tg_analysis::AnalysisCache& cache, size_t max_violations = 0,
                            tg_util::ThreadPool* pool = nullptr,
@@ -106,9 +106,8 @@ std::vector<CrossLevelChannel> FindCrossLevelChannels(const tg::ProtectionGraph&
                                                       tg_util::ThreadPool* pool = nullptr,
                                                       AuditEngine engine = AuditEngine::kAuto);
 
-// Cache-aware overload: reads the cache's all-pairs BOC reach matrix (the
-// same entry ComputeRwtgLevels(g, cache) uses) instead of recomputing
-// reachability.  Identical channel list.
+// Cache-aware overload: runs the same scan on the cache's snapshot.
+// Identical channel list.
 std::vector<CrossLevelChannel> FindCrossLevelChannels(const tg::ProtectionGraph& g,
                                                       const LevelAssignment& assignment,
                                                       tg_analysis::AnalysisCache& cache,

@@ -1,7 +1,6 @@
 #include "src/server/engine.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <sstream>
 
@@ -67,6 +66,17 @@ std::string HarvestSpansJson(uint64_t query_id) {
   }
   out += "]";
   return out;
+}
+
+// The MAX argument of check_secure and channels: a positive decimal cap,
+// 8 when absent.  Returns 0 for anything else: the audit API reads 0 as
+// "no cap", so a malformed MAX must never reach it as one.
+size_t ListingCap(const std::vector<std::string_view>& tok) {
+  if (tok.size() < 2) {
+    return 8;
+  }
+  const long long parsed = tg_util::ParseNonNegativeInt(tok[1]);
+  return parsed > 0 ? static_cast<size_t>(parsed) : 0;
 }
 
 // Builds and records one SlowQueryLog entry for a request that blew the
@@ -291,9 +301,9 @@ std::string PolicyEngine::ExecuteReadLineImpl(const EpochState& state,
     if (tok.size() > 2) {
       return ErrorResponse("'check_secure' expects at most one argument (MAX)");
     }
-    size_t max_violations = 8;
-    if (tok.size() == 2) {
-      max_violations = static_cast<size_t>(std::atol(std::string(tok[1]).c_str()));
+    const size_t max_violations = ListingCap(tok);
+    if (max_violations == 0) {
+      return ErrorResponse("'check_secure' MAX must be a positive integer");
     }
     tg_hier::SecurityReport report =
         tg_hier::CheckSecure(g, state.levels, cache, max_violations);
@@ -312,9 +322,9 @@ std::string PolicyEngine::ExecuteReadLineImpl(const EpochState& state,
     if (tok.size() > 2) {
       return ErrorResponse("'channels' expects at most one argument (MAX)");
     }
-    size_t max_channels = 8;
-    if (tok.size() == 2) {
-      max_channels = static_cast<size_t>(std::atol(std::string(tok[1]).c_str()));
+    const size_t max_channels = ListingCap(tok);
+    if (max_channels == 0) {
+      return ErrorResponse("'channels' MAX must be a positive integer");
     }
     const std::vector<tg_hier::TypedCrossLevelChannel> channels =
         tg_hier::FindTypedCrossLevelChannels(g, state.levels, cache, max_channels);

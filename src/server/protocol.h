@@ -19,7 +19,9 @@
 // Request verbs (see DESIGN.md §14 for the full grammar and semantics):
 //
 //   reads:   ping | epoch | can_know X Y | can_knowf X Y | can_share R X Y |
-//            knowable X | levels | check_secure [MAX] | stats
+//            knowable X | levels | check_secure [MAX] | channels [MAX] |
+//            explain_channel U V | stats
+//   MAX   := a positive decimal cap on the listing (default 8)
 //   writes:  admit RULE | txn begin | txn commit | txn abort | txn status
 //   RULE  := take X Y Z RIGHTS | grant X Y Z RIGHTS |
 //            create X subject|object RIGHTS [NAME] | remove X Y RIGHTS |

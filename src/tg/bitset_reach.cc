@@ -48,8 +48,7 @@ void RecordBitReachRun(uint64_t start_ns, uint64_t lanes, uint64_t waves,
 // pending bit is eventually popped — so the rows and the popcount-based
 // lane tallies are identical either way.
 void BitReachSlice(const AnalysisSnapshot& snap, const ProductCsr& csr,
-                   std::span<const VertexId> sources, BitMatrix& out, size_t first_row,
-                   BitMatrix* touched) {
+                   std::span<const VertexId> sources, BitMatrix& out, size_t first_row) {
   const size_t n = csr.vertex_count;
   const size_t states = csr.states;
   const size_t node_count = n * states;
@@ -153,21 +152,6 @@ void BitReachSlice(const AnalysisSnapshot& snap, const ProductCsr& csr,
       size_t l = static_cast<size_t>(std::countr_zero(lanes));
       out.Set(first_row + l, v);
       lanes &= lanes - 1;
-    }
-  }
-  if (touched != nullptr) {
-    // A vertex is in lane l's footprint when any of its product states was
-    // reached by that lane.
-    for (size_t v = 0; v < n; ++v) {
-      uint64_t lanes = 0;
-      for (size_t s = 0; s < states; ++s) {
-        lanes |= reached[v * states + s];
-      }
-      while (lanes != 0) {
-        size_t l = static_cast<size_t>(std::countr_zero(lanes));
-        touched->Set(first_row + l, v);
-        lanes &= lanes - 1;
-      }
     }
   }
   RecordBitReachRun(start_ns, sources.size(), waves, word_ops, lane_visits, lane_edge_scans);

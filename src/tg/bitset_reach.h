@@ -186,18 +186,7 @@ ProductCsr BuildProductCsr(const AnalysisSnapshot& snap, const tg_util::Dfa& dfa
   csr.adj_records.resize(n);
   csr.offsets.assign(n * states + 1, 0);
   std::vector<std::pair<VertexId, size_t>> edges;  // (target vertex, symbol index)
-  const std::span<const uint64_t> mask = options.vertex_mask;
   for (VertexId u = 0; u < n; ++u) {
-    if (!mask.empty() && ((mask[u >> 6] >> (u & 63)) & 1) == 0) {
-      // Masked-out vertex: a sink with no product successors.  The per-state
-      // offsets below still advance so indexing stays uniform.
-      csr.adj_records[u] = 0;
-      for (size_t s = 0; s < states; ++s) {
-        csr.offsets[static_cast<size_t>(u) * states + s + 1] =
-            static_cast<uint32_t>(csr.targets.size());
-      }
-      continue;
-    }
     const std::span<const AnalysisSnapshot::AdjRecord> adj = snap.AdjacencyOf(u);
     csr.adj_records[u] = static_cast<uint32_t>(adj.size());
     edges.clear();
@@ -236,14 +225,11 @@ ProductCsr BuildProductCsr(const AnalysisSnapshot& snap, const tg_util::Dfa& dfa
 
 // One <= 64-lane slice of the bit-parallel product BFS: sources[l] drives
 // lane l, and rows first_row + l of `out` receive the vertices lane l can
-// reach by an accepted walk of >= csr.min_steps.  When `touched` is given,
-// rows first_row + l of it receive every vertex lane l visited in *any*
-// DFA state (the row's conservative dependency footprint — see
-// SnapshotWordReachableTouched).  Single-threaded; SnapshotWordReachableAll
-// fans slices across a pool.  Defined in bitset_reach.cc.
+// reach by an accepted walk of >= csr.min_steps.  Single-threaded;
+// SnapshotWordReachableAll fans slices across a pool.  Defined in
+// bitset_reach.cc.
 void BitReachSlice(const AnalysisSnapshot& snap, const ProductCsr& csr,
-                   std::span<const VertexId> sources, BitMatrix& out, size_t first_row,
-                   BitMatrix* touched = nullptr);
+                   std::span<const VertexId> sources, BitMatrix& out, size_t first_row);
 }  // namespace internal
 
 // A reusable read-only product-graph CSR for one (snapshot, DFA, options)
@@ -317,34 +303,6 @@ BitMatrix SnapshotWordReachableAll(const AnalysisSnapshot& snap,
     const size_t base = slice * 64;
     const size_t lanes = sources.size() - base < 64 ? sources.size() - base : 64;
     internal::BitReachSlice(snap, csr, sources.subspan(base, lanes), out, base);
-  });
-  return out;
-}
-
-// As SnapshotWordReachableAll, additionally filling `touched` (reassigned
-// to sources.size() x vertex_count here) with each row's visited-in-any-
-// state footprint, the per-row dependency sets scoped cache invalidation
-// keys on (src/analysis/cache.h).  Same determinism rule; rows of both
-// matrices are written only by their own slice.
-template <typename Filter = NoStepFilter>
-BitMatrix SnapshotWordReachableAllTouched(const AnalysisSnapshot& snap,
-                                          std::span<const VertexId> sources,
-                                          const tg_util::Dfa& dfa, BitMatrix& touched,
-                                          const SnapshotBfsOptions& options = {},
-                                          tg_util::ThreadPool* pool = nullptr,
-                                          Filter filter = Filter{}) {
-  BitMatrix out(sources.size(), snap.vertex_count());
-  touched = BitMatrix(sources.size(), snap.vertex_count());
-  const size_t slices = (sources.size() + 63) / 64;
-  if (slices == 0) {
-    return out;
-  }
-  const internal::ProductCsr csr = internal::BuildProductCsr(snap, dfa, options, filter);
-  tg_util::ThreadPool& runner = pool != nullptr ? *pool : tg_util::ThreadPool::Shared();
-  runner.ParallelFor(slices, [&](size_t slice) {
-    const size_t base = slice * 64;
-    const size_t lanes = sources.size() - base < 64 ? sources.size() - base : 64;
-    internal::BitReachSlice(snap, csr, sources.subspan(base, lanes), out, base, &touched);
   });
   return out;
 }

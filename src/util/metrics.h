@@ -23,8 +23,9 @@
 //   hits.Add();
 //
 // so the steady-state cost of a counter bump is one relaxed atomic load
-// (the enabled flag) plus one relaxed fetch_add.  Instruments are never
-// destroyed before process exit; references stay valid forever.
+// (the enabled flag) plus one relaxed fetch_add on the calling thread's
+// shard.  Instruments are never destroyed before process exit; references
+// stay valid forever.
 //
 // Disabling.  Two layers, both spelled TG_METRICS:
 //  * Compile time: build with -DTG_METRICS=0 and every instrument method
@@ -46,6 +47,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -59,23 +61,54 @@ namespace tg_util {
 bool MetricsEnabled();
 void SetMetricsEnabled(bool enabled);
 
+namespace internal {
+// Threads take consecutive shard numbers on their first counter bump.
+inline std::atomic<size_t> g_next_counter_shard{0};
+
+inline size_t CounterShard() {
+  thread_local const size_t shard =
+      g_next_counter_shard.fetch_add(1, std::memory_order_relaxed);
+  return shard;
+}
+}  // namespace internal
+
+// The serving pool bumps the same per-query counters from every worker, so
+// a single shared atomic would bounce its cache line between cores on each
+// request.  Each thread instead adds into one of kShards cache-line-sized
+// slots, and reads sum the slots.
 class Counter {
  public:
   void Add(uint64_t delta = 1) {
 #if TG_METRICS
     if (MetricsEnabled()) {
-      value_.fetch_add(delta, std::memory_order_relaxed);
+      shards_[internal::CounterShard() % kShards].value.fetch_add(
+          delta, std::memory_order_relaxed);
     }
 #else
     (void)delta;
 #endif
   }
 
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  uint64_t value() const {
+    uint64_t sum = 0;
+    for (const Shard& shard : shards_) {
+      sum += shard.value.load(std::memory_order_relaxed);
+    }
+    return sum;
+  }
+
+  void Reset() {
+    for (Shard& shard : shards_) {
+      shard.value.store(0, std::memory_order_relaxed);
+    }
+  }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  static constexpr size_t kShards = 8;
+  struct alignas(64) Shard {
+    std::atomic<uint64_t> value{0};
+  };
+  Shard shards_[kShards];
 };
 
 class Gauge {

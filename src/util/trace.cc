@@ -28,8 +28,6 @@ const char* TraceKindName(TraceKind kind) {
       return "monitor_decision";
     case TraceKind::kCacheRebuild:
       return "cache_rebuild";
-    case TraceKind::kBatchRows:
-      return "batch_rows";
     case TraceKind::kBitReach:
       return "bit_reach";
     case TraceKind::kOverlayPatch:
@@ -60,12 +58,6 @@ const char* QueryKindName(QueryKind kind) {
       return "can_know";
     case QueryKind::kKnowable:
       return "knowable";
-    case QueryKind::kKnowableAll:
-      return "knowable_all";
-    case QueryKind::kReachableAll:
-      return "reachable_all";
-    case QueryKind::kBatchRows:
-      return "batch_rows";
     case QueryKind::kRwtgLevels:
       return "rwtg_levels";
     case QueryKind::kCheckSecure:

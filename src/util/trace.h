@@ -57,7 +57,6 @@ enum class TraceKind : uint8_t {
   kRuleApply,        // arg0 = rule kind, arg1 = 1 applied / 0 refused
   kMonitorDecision,  // arg0 = audit outcome, arg1 = audit sequence number
   kCacheRebuild,     // arg0 = graph epoch, arg1 = entries dropped
-  kBatchRows,        // arg0 = source count, arg1 = pool thread count
   kBitReach,         // arg0 = source lanes in the slice, arg1 = word OR relaxations
   kOverlayPatch,     // arg0 = journal records replayed, arg1 = vertices patched
   kCondense,         // arg0 = components, arg1 = deduped quotient edges
@@ -86,9 +85,6 @@ enum class QueryKind : uint8_t {
   kCanKnowF,
   kCanKnow,
   kKnowable,           // one KnowableFrom row
-  kKnowableAll,        // the all-pairs knowable matrix
-  kReachableAll,       // an all-pairs reach matrix
-  kBatchRows,          // a batch KnowableFromAll/Many driver call
   kRwtgLevels,
   kCheckSecure,
   kCrossLevelChannels,

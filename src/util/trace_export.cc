@@ -31,8 +31,6 @@ ArgNames ArgNamesFor(TraceKind kind) {
       return {"outcome", "audit_seq"};
     case TraceKind::kCacheRebuild:
       return {"epoch", "entries_dropped"};
-    case TraceKind::kBatchRows:
-      return {"sources", "threads"};
     case TraceKind::kBitReach:
       return {"lanes", "word_ops"};
     case TraceKind::kOverlayPatch:

@@ -24,13 +24,54 @@ ProtectionGraph RandomTestGraph(uint64_t seed) {
   return tg_sim::RandomGraph(options, prng);
 }
 
-TEST(BatchTest, MatrixRowsMatchSerialKnowableFrom) {
+// A layered hierarchy with planted cross-level channels.
+tg_sim::GeneratedHierarchy PlantedHierarchy(uint64_t seed, size_t levels, size_t subjects,
+                                            size_t objects, size_t planted) {
+  tg_util::Prng prng(seed);
+  tg_sim::RandomHierarchyOptions options;
+  options.levels = levels;
+  options.subjects_per_level = subjects;
+  options.objects_per_level = objects;
+  options.planted_channels = planted;
+  return tg_sim::RandomHierarchy(options, prng);
+}
+
+// The 96-vertex eight-level hierarchy, where rows, levels and the
+// violation list are all non-trivial.
+tg_sim::GeneratedHierarchy LargeHierarchy() { return PlantedHierarchy(2026, 8, 7, 5, 4); }
+
+// Inputs of the row, pool-size and level differentials: six random graphs
+// and the large hierarchy.
+std::vector<ProtectionGraph> PoolTestGraphs() {
+  std::vector<ProtectionGraph> graphs;
   for (uint64_t seed = 1; seed <= 6; ++seed) {
-    ProtectionGraph g = RandomTestGraph(seed);
-    std::vector<std::vector<bool>> matrix = KnowableFromAll(g);
-    ASSERT_EQ(matrix.size(), g.VertexCount());
+    graphs.push_back(RandomTestGraph(seed));
+  }
+  graphs.push_back(LargeHierarchy().graph);
+  return graphs;
+}
+
+std::vector<VertexId> AllVertices(const ProtectionGraph& g) {
+  std::vector<VertexId> sources(g.VertexCount());
+  for (VertexId v = 0; v < g.VertexCount(); ++v) {
+    sources[v] = v;
+  }
+  return sources;
+}
+
+// KnowableMatrix over every vertex, the full can_know matrix.
+tg::BitMatrix FullMatrix(const ProtectionGraph& g, tg_util::ThreadPool* pool = nullptr) {
+  return KnowableMatrix(tg::AnalysisSnapshot(g), AllVertices(g), pool);
+}
+
+TEST(BatchTest, MatrixRowsMatchSerialKnowableFrom) {
+  const std::vector<ProtectionGraph> graphs = PoolTestGraphs();
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    const ProtectionGraph& g = graphs[i];
+    tg::BitMatrix matrix = FullMatrix(g);
+    ASSERT_EQ(matrix.rows(), g.VertexCount());
     for (VertexId x = 0; x < g.VertexCount(); ++x) {
-      EXPECT_EQ(matrix[x], KnowableFrom(g, x)) << "seed " << seed << " row " << x;
+      EXPECT_EQ(matrix.RowBools(x), KnowableFrom(g, x)) << "graph " << i << " row " << x;
     }
   }
 }
@@ -38,10 +79,9 @@ TEST(BatchTest, MatrixRowsMatchSerialKnowableFrom) {
 TEST(BatchTest, ParallelAndSerialPoolsAgree) {
   tg_util::ThreadPool serial(1);
   tg_util::ThreadPool parallel(4);
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    ProtectionGraph g = RandomTestGraph(seed);
-    EXPECT_EQ(KnowableFromAll(g, &serial), KnowableFromAll(g, &parallel))
-        << "seed " << seed;
+  const std::vector<ProtectionGraph> graphs = PoolTestGraphs();
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    EXPECT_EQ(FullMatrix(graphs[i], &serial), FullMatrix(graphs[i], &parallel)) << "graph " << i;
   }
 }
 
@@ -49,13 +89,13 @@ TEST(BatchTest, KnowableFromManyHandlesInvalidAndDuplicateSources) {
   ProtectionGraph g = RandomTestGraph(3);
   std::vector<VertexId> sources = {0, 0, tg::kInvalidVertex,
                                    static_cast<VertexId>(g.VertexCount() + 5), 1};
-  std::vector<std::vector<bool>> rows = KnowableFromMany(g, sources);
-  ASSERT_EQ(rows.size(), sources.size());
-  EXPECT_EQ(rows[0], KnowableFrom(g, 0));
-  EXPECT_EQ(rows[1], rows[0]);  // duplicate source, identical row
-  EXPECT_EQ(rows[2], std::vector<bool>(g.VertexCount(), false));
-  EXPECT_EQ(rows[3], std::vector<bool>(g.VertexCount(), false));
-  EXPECT_EQ(rows[4], KnowableFrom(g, 1));
+  tg::BitMatrix rows = KnowableMatrix(tg::AnalysisSnapshot(g), sources);
+  ASSERT_EQ(rows.rows(), sources.size());
+  EXPECT_EQ(rows.RowBools(0), KnowableFrom(g, 0));
+  EXPECT_EQ(rows.RowBools(1), rows.RowBools(0));  // duplicate source, identical row
+  EXPECT_EQ(rows.RowBools(2), std::vector<bool>(g.VertexCount(), false));
+  EXPECT_EQ(rows.RowBools(3), std::vector<bool>(g.VertexCount(), false));
+  EXPECT_EQ(rows.RowBools(4), KnowableFrom(g, 1));
 }
 
 TEST(BatchTest, KnowableFromSnapshotMatchesGraphLevelCall) {
@@ -68,8 +108,9 @@ TEST(BatchTest, KnowableFromSnapshotMatchesGraphLevelCall) {
 
 TEST(BatchTest, EmptyGraphAndEmptySourceList) {
   ProtectionGraph g;
-  EXPECT_TRUE(KnowableFromAll(g).empty());
-  EXPECT_TRUE(KnowableFromMany(g, {}).empty());
+  EXPECT_EQ(FullMatrix(g).rows(), 0u);
+  ProtectionGraph one = RandomTestGraph(1);
+  EXPECT_EQ(KnowableMatrix(tg::AnalysisSnapshot(one), {}).rows(), 0u);
 }
 
 // rwtg-levels ride the same pool; the computed assignment must not depend
@@ -77,17 +118,18 @@ TEST(BatchTest, EmptyGraphAndEmptySourceList) {
 TEST(BatchTest, RwtgLevelsIdenticalForAnyPoolSize) {
   tg_util::ThreadPool serial(1);
   tg_util::ThreadPool parallel(4);
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    ProtectionGraph g = RandomTestGraph(seed);
+  const std::vector<ProtectionGraph> graphs = PoolTestGraphs();
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    const ProtectionGraph& g = graphs[i];
     tg_hier::LevelAssignment a = tg_hier::ComputeRwtgLevels(g, &serial);
     tg_hier::LevelAssignment b = tg_hier::ComputeRwtgLevels(g, &parallel);
-    ASSERT_EQ(a.LevelCount(), b.LevelCount()) << "seed " << seed;
+    ASSERT_EQ(a.LevelCount(), b.LevelCount()) << "graph " << i;
     for (VertexId v = 0; v < g.VertexCount(); ++v) {
-      EXPECT_EQ(a.LevelOf(v), b.LevelOf(v)) << "seed " << seed << " vertex " << v;
+      EXPECT_EQ(a.LevelOf(v), b.LevelOf(v)) << "graph " << i << " vertex " << v;
     }
     for (tg_hier::LevelId x = 0; x < a.LevelCount(); ++x) {
       for (tg_hier::LevelId y = 0; y < a.LevelCount(); ++y) {
-        EXPECT_EQ(a.Higher(x, y), b.Higher(x, y)) << "seed " << seed;
+        EXPECT_EQ(a.Higher(x, y), b.Higher(x, y)) << "graph " << i;
       }
     }
   }
@@ -98,14 +140,9 @@ TEST(BatchTest, RwtgLevelsIdenticalForAnyPoolSize) {
 TEST(BatchTest, SecurityAuditIdenticalForAnyPoolSize) {
   tg_util::ThreadPool serial(1);
   tg_util::ThreadPool parallel(4);
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    tg_util::Prng prng(seed);
-    tg_sim::RandomHierarchyOptions options;
-    options.levels = 3;
-    options.subjects_per_level = 3;
-    options.objects_per_level = 2;
-    options.planted_channels = 1;
-    tg_sim::GeneratedHierarchy h = tg_sim::RandomHierarchy(options, prng);
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    tg_sim::GeneratedHierarchy h =
+        seed <= 4 ? PlantedHierarchy(seed, 3, 3, 2, 1) : LargeHierarchy();
 
     tg_hier::SecurityReport ra = tg_hier::CheckSecure(h.graph, h.levels, 0, &serial);
     tg_hier::SecurityReport rb = tg_hier::CheckSecure(h.graph, h.levels, 0, &parallel);

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "src/analysis/batch.h"
 #include "src/analysis/can_know.h"
 #include "src/sim/generator.h"
 #include "src/tg/languages.h"
 #include "src/tg/path.h"
+#include "src/util/metrics.h"
 #include "src/util/prng.h"
 
 namespace tg_analysis {
@@ -299,6 +301,45 @@ TEST(AnalysisCacheTest, TinyCapStillAnswersCorrectly) {
       EXPECT_EQ(cache.Knowable(g, x), KnowableFrom(g, x)) << "round " << round;
     }
   }
+}
+
+// Every subject's row, asked cold and then warm, on a 96-vertex hierarchy
+// with planted cross-level channels: cached rows equal the bit-parallel
+// KnowableMatrix rows, and the warm pass is all hits with no product-BFS
+// work at all.
+TEST(AnalysisCacheTest, WarmRowsMatchKnowableMatrixWithoutGraphWork) {
+  const bool metrics_were_enabled = tg_util::MetricsEnabled();
+  tg_util::SetMetricsEnabled(true);
+  tg_util::Prng prng(2026);
+  tg_sim::RandomHierarchyOptions options;
+  options.levels = 8;
+  options.subjects_per_level = 7;
+  options.objects_per_level = 5;
+  options.planted_channels = 4;
+  const ProtectionGraph g = tg_sim::RandomHierarchy(options, prng).graph;
+  std::vector<VertexId> subjects;
+  for (VertexId v = 0; v < g.VertexCount(); ++v) {
+    if (g.IsSubject(v)) {
+      subjects.push_back(v);
+    }
+  }
+  const tg::BitMatrix matrix = KnowableMatrix(tg::AnalysisSnapshot(g), subjects);
+
+  AnalysisCache cache;
+  for (size_t i = 0; i < subjects.size(); ++i) {
+    EXPECT_EQ(cache.Knowable(g, subjects[i]), matrix.RowBools(i)) << "cold row " << subjects[i];
+  }
+  const size_t misses = cache.misses();
+  const size_t hits = cache.hits();
+  const uint64_t visits =
+      tg_util::MetricsRegistry::Instance().CounterValue("bfs.node_visits");
+  for (size_t i = 0; i < subjects.size(); ++i) {
+    EXPECT_EQ(cache.Knowable(g, subjects[i]), matrix.RowBools(i)) << "warm row " << subjects[i];
+  }
+  EXPECT_EQ(cache.misses(), misses);
+  EXPECT_EQ(cache.hits(), hits + subjects.size());
+  EXPECT_EQ(tg_util::MetricsRegistry::Instance().CounterValue("bfs.node_visits"), visits);
+  tg_util::SetMetricsEnabled(metrics_were_enabled);
 }
 
 }  // namespace

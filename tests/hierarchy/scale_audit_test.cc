@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/take_grant.h"
+#include "src/util/metrics.h"
 
 namespace {
 
@@ -137,33 +138,65 @@ TEST(ScaleAuditTest, RandomHierarchyAgreesAcrossEngines) {
       "random hierarchy channels");
 }
 
+void ExpectSameLevels(const LevelAssignment& a, const LevelAssignment& b, size_t vertex_count,
+                      const char* what) {
+  for (tg::VertexId v = 0; v < vertex_count; ++v) {
+    EXPECT_EQ(a.LevelOf(v), b.LevelOf(v)) << what << " vertex " << v;
+  }
+  ASSERT_EQ(a.LevelCount(), b.LevelCount()) << what;
+  for (tg_hier::LevelId x = 0; x < a.LevelCount(); ++x) {
+    for (tg_hier::LevelId y = 0; y < a.LevelCount(); ++y) {
+      EXPECT_EQ(a.Higher(x, y), b.Higher(x, y)) << what << " levels " << x << "," << y;
+    }
+  }
+}
+
 // Forcing the dense-matrix cap low at small n makes kAuto resolve to the
 // sharded engine and BocDigraph take its hybrid-row path; results must not
-// change.
+// change, through the cache-free overloads and the cache-aware ones alike.
+// The cache-aware audit verbs run on the cache's snapshot and memoize no
+// rows of their own, with the cap and without it (where kAuto picks the
+// dense engine at this size).
 TEST(ScaleAuditTest, LowDenseCapForcesHybridPathsWithIdenticalResults) {
+  const bool metrics_were_enabled = tg_util::MetricsEnabled();
+  tg_util::SetMetricsEnabled(true);
+  auto row_hits = [] {
+    const tg_util::MetricsRegistry& registry = tg_util::MetricsRegistry::Instance();
+    return registry.CounterValue("row.sparse_hits") + registry.CounterValue("row.dense_hits");
+  };
   tg_sim::GeneratedHierarchy h = Hierarchy(/*planted=*/3, /*seed=*/57);
   LevelAssignment computed_default = tg_hier::ComputeRwtgLevels(h.graph);
   SecurityReport report_default =
       tg_hier::CheckSecure(h.graph, h.levels, 0, nullptr, AuditEngine::kAuto);
+  ASSERT_EQ(tg_hier::ResolveAuditEngine(h.graph, h.levels), AuditEngine::kDense);
+  tg_analysis::AnalysisCache dense_cache;
+  LevelAssignment cached_default = tg_hier::ComputeRwtgLevels(h.graph, dense_cache);
+  SecurityReport cached_report_default = tg_hier::CheckSecure(h.graph, h.levels, dense_cache);
+  (void)tg_hier::FindCrossLevelChannels(h.graph, h.levels, dense_cache);
+  EXPECT_EQ(dense_cache.entry_count(), 0u) << "dense audit memoized rows in the cache";
 
   ASSERT_EQ(setenv("TG_DENSE_MATRIX_MAX_BYTES", "64", /*overwrite=*/1), 0);
   LevelAssignment computed_capped = tg_hier::ComputeRwtgLevels(h.graph);
   SecurityReport report_capped =
       tg_hier::CheckSecure(h.graph, h.levels, 0, nullptr, AuditEngine::kAuto);
+  tg_analysis::AnalysisCache capped_cache;
+  const uint64_t row_hits_before = row_hits();
+  LevelAssignment cached_capped = tg_hier::ComputeRwtgLevels(h.graph, capped_cache);
+  const uint64_t row_hits_after = row_hits();
+  SecurityReport cached_report_capped = tg_hier::CheckSecure(h.graph, h.levels, capped_cache);
+  (void)tg_hier::FindCrossLevelChannels(h.graph, h.levels, capped_cache);
   EXPECT_FALSE(tg::BitMatrix::TryCreate(64, 64).ok());
   ASSERT_EQ(unsetenv("TG_DENSE_MATRIX_MAX_BYTES"), 0);
+  tg_util::SetMetricsEnabled(metrics_were_enabled);
 
-  for (tg::VertexId v = 0; v < h.graph.VertexCount(); ++v) {
-    EXPECT_EQ(computed_default.LevelOf(v), computed_capped.LevelOf(v)) << "vertex " << v;
-  }
-  ASSERT_EQ(computed_default.LevelCount(), computed_capped.LevelCount());
-  for (tg_hier::LevelId a = 0; a < computed_default.LevelCount(); ++a) {
-    for (tg_hier::LevelId b = 0; b < computed_default.LevelCount(); ++b) {
-      EXPECT_EQ(computed_default.Higher(a, b), computed_capped.Higher(a, b))
-          << "levels " << a << "," << b;
-    }
-  }
+  ExpectSameLevels(computed_default, computed_capped, h.graph.VertexCount(), "capped");
+  ExpectSameLevels(computed_default, cached_default, h.graph.VertexCount(), "cached");
+  ExpectSameLevels(computed_default, cached_capped, h.graph.VertexCount(), "cached capped");
+  EXPECT_GT(row_hits_after, row_hits_before) << "cached levels ignored the dense cap";
+  EXPECT_EQ(capped_cache.entry_count(), 0u) << "capped audit memoized rows in the cache";
   ExpectSameReports(report_default, report_capped, "capped kAuto audit");
+  ExpectSameReports(report_default, cached_report_default, "cached kAuto audit");
+  ExpectSameReports(report_default, cached_report_capped, "cached capped kAuto audit");
 }
 
 TEST(ScaleAuditTest, HierarchicalGeneratorShape) {

@@ -45,6 +45,15 @@ ProtectionGraph TestGraph(uint64_t seed) {
   return tg_sim::RandomGraph(options, prng);
 }
 
+// The full can_know matrix (one KnowableMatrix row per vertex).
+tg::BitMatrix KnowableRows(const ProtectionGraph& g, tg_util::ThreadPool* pool) {
+  std::vector<VertexId> sources(g.VertexCount());
+  for (VertexId v = 0; v < g.VertexCount(); ++v) {
+    sources[v] = v;
+  }
+  return tg_analysis::KnowableMatrix(tg::AnalysisSnapshot(g), sources, pool);
+}
+
 TEST_F(MetricsConsistencyTest, RegistryCacheCountersMatchAnalysisCache) {
   ProtectionGraph g = TestGraph(91);
   tg_analysis::AnalysisCache cache;
@@ -71,9 +80,9 @@ TEST_F(MetricsConsistencyTest, RegistryCacheCountersMatchAnalysisCache) {
   EXPECT_EQ(CounterNow("cache.misses") - misses_before, cache.misses());
 }
 
-// KnowableFromAll routes big-enough batches through the bit-parallel
-// engine; its slice tallies must be identical for any thread count (fixed
-// 64-source slices, each single-threaded — see src/tg/bitset_reach.h).
+// KnowableMatrix runs on the bit-parallel engine; its rows and slice
+// tallies must be identical for any thread count (fixed 64-source slices,
+// each single-threaded — see src/tg/bitset_reach.h).
 TEST_F(MetricsConsistencyTest, BitReachWorkIsDeterministicAcrossThreadCounts) {
   for (uint64_t seed : {uint64_t{7}, uint64_t{23}, uint64_t{101}}) {
     ProtectionGraph g = TestGraph(seed);
@@ -84,7 +93,7 @@ TEST_F(MetricsConsistencyTest, BitReachWorkIsDeterministicAcrossThreadCounts) {
     const uint64_t ops_before_1 = CounterNow("bitreach.word_ops");
     const uint64_t visits_before_1 = CounterNow("bitreach.lane_visits");
     const uint64_t scans_before_1 = CounterNow("bitreach.lane_edge_scans");
-    std::vector<std::vector<bool>> rows_1 = tg_analysis::KnowableFromAll(g, &one);
+    tg::BitMatrix rows_1 = KnowableRows(g, &one);
     const uint64_t slices_1 = CounterNow("bitreach.slices") - slices_before_1;
     const uint64_t waves_1 = CounterNow("bitreach.waves") - waves_before_1;
     const uint64_t ops_1 = CounterNow("bitreach.word_ops") - ops_before_1;
@@ -97,7 +106,7 @@ TEST_F(MetricsConsistencyTest, BitReachWorkIsDeterministicAcrossThreadCounts) {
     const uint64_t ops_before_4 = CounterNow("bitreach.word_ops");
     const uint64_t visits_before_4 = CounterNow("bitreach.lane_visits");
     const uint64_t scans_before_4 = CounterNow("bitreach.lane_edge_scans");
-    std::vector<std::vector<bool>> rows_4 = tg_analysis::KnowableFromAll(g, &four);
+    tg::BitMatrix rows_4 = KnowableRows(g, &four);
     const uint64_t slices_4 = CounterNow("bitreach.slices") - slices_before_4;
     const uint64_t waves_4 = CounterNow("bitreach.waves") - waves_before_4;
     const uint64_t ops_4 = CounterNow("bitreach.word_ops") - ops_before_4;
@@ -181,7 +190,7 @@ TEST_F(MetricsConsistencyTest, QueriesLeaveTraceSpans) {
   EXPECT_TRUE(saw_bfs);
 
   tg_util::TraceBuffer::Instance().Clear();
-  cache.KnowableAll(g);
+  tg_hier::ComputeRwtgLevels(g, cache);
   bool saw_bitreach = false;
   for (const tg_util::TraceEvent& e : tg_util::TraceBuffer::Instance().Events()) {
     saw_bitreach |= e.kind == tg_util::TraceKind::kBitReach;
@@ -276,7 +285,7 @@ TEST_F(MetricsConsistencyTest, CondensationCountersDeterministicAcrossThreadCoun
     (void)channels;
     tg_hier::LevelAssignment levels = tg_hier::ComputeRwtgLevels(h.graph, &pool);
     (void)levels;
-    std::vector<std::vector<bool>> rows = tg_analysis::KnowableFromAll(h.graph, &pool);
+    tg::BitMatrix rows = KnowableRows(h.graph, &pool);
     (void)rows;
     std::map<std::string, uint64_t> delta;
     for (const char* name : kNames) {

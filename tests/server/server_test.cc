@@ -272,6 +272,18 @@ TEST(PolicyServerTest, ErrorResponsesKeepConnectionUsable) {
   EXPECT_FALSE(IsOk(h.Call("can_know alice")));
   EXPECT_FALSE(IsOk(h.Call("can_know alice nobody")));
   EXPECT_FALSE(IsOk(h.Call("can_share rw alice doc")));  // one right, not a set
+  // The capped listings take MAX as a positive decimal.  The audit API reads
+  // a cap of 0 as "no cap", so a malformed or zero MAX must be an error, not
+  // a full scan.
+  for (const std::string verb : {"check_secure", "channels"}) {
+    for (const std::string max : {"abc", "-1", "0", "3x", "99999999999999999999999"}) {
+      const std::string response = h.Call(verb + " " + max);
+      EXPECT_FALSE(IsOk(response)) << verb << " " << max << ": " << response;
+      EXPECT_NE(response.find("MAX must be a positive integer"), std::string::npos)
+          << verb << " " << max << ": " << response;
+    }
+    EXPECT_TRUE(IsOk(h.Call(verb + " 2"))) << verb;
+  }
   EXPECT_TRUE(IsOk(h.Call("ping")));
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/analysis/can_know.h"
@@ -11,6 +12,7 @@
 #include "src/tg/languages.h"
 #include "src/tg/snapshot.h"
 #include "src/util/prng.h"
+#include "src/util/thread_pool.h"
 
 namespace tg {
 namespace {
@@ -172,22 +174,107 @@ TEST(SnapshotWordReachableAllTest, DeterministicAcrossPoolSizes) {
   }
 }
 
-// The bit-parallel level computation must reproduce the scalar reference
-// exactly — same level ids, membership, and higher relation.
-TEST(BitParallelLevelsTest, MatchesScalarReference) {
-  for (uint64_t seed : {uint64_t{2}, uint64_t{13}, uint64_t{77}}) {
-    ProtectionGraph g = RandomTestGraph(45, 25, 1.9, seed);
-    tg_hier::LevelAssignment bit = tg_hier::ComputeRwtgLevels(g);
-    tg_hier::LevelAssignment scalar = tg_hier::ComputeRwtgLevelsScalar(g);
-    ASSERT_EQ(bit.LevelCount(), scalar.LevelCount()) << "seed " << seed;
-    for (VertexId v = 0; v < g.VertexCount(); ++v) {
-      EXPECT_EQ(bit.LevelOf(v), scalar.LevelOf(v)) << "seed " << seed << " vertex " << v;
+// The levels oracle: rwtg-levels from their definition, with one scalar
+// product BFS per subject and no bit matrix, condensation or SCC code.
+// Subject u steps to subject v when a single rwtg-path from u to v carries
+// a bridge-or-connection word; levels are the classes of mutual
+// reachability under those steps, numbered in order of their lowest vertex
+// id (ComputeRwtgLevels' numbering), and a level is higher than another
+// when its members reach the other's.
+tg_hier::LevelAssignment RwtgLevelsOracle(const ProtectionGraph& g) {
+  AnalysisSnapshot snap(g);
+  const size_t n = snap.vertex_count();
+  SnapshotBfsOptions options;
+  options.use_implicit = true;
+  // reaches[u][v]: subject v is reachable from subject u in zero or more
+  // steps (Warshall closure of the per-subject scalar rows).
+  std::vector<std::vector<bool>> reaches(n, std::vector<bool>(n, false));
+  for (VertexId u = 0; u < n; ++u) {
+    if (!snap.IsSubject(u)) {
+      continue;
     }
-    for (tg_hier::LevelId a = 0; a < bit.LevelCount(); ++a) {
-      for (tg_hier::LevelId b = 0; b < bit.LevelCount(); ++b) {
-        EXPECT_EQ(bit.Higher(a, b), scalar.Higher(a, b)) << "seed " << seed;
+    const VertexId sources[] = {u};
+    std::vector<bool> row = SnapshotWordReachable(snap, sources, BridgeOrConnectionDfa(), options);
+    for (VertexId v = 0; v < n; ++v) {
+      reaches[u][v] = v == u || (row[v] && snap.IsSubject(v));
+    }
+  }
+  for (size_t k = 0; k < n; ++k) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!reaches[i][k]) {
+        continue;
+      }
+      for (size_t j = 0; j < n; ++j) {
+        if (reaches[k][j]) {
+          reaches[i][j] = true;
+        }
       }
     }
+  }
+  std::vector<tg_hier::LevelId> level_of(n, tg_hier::kNoLevel);
+  std::vector<VertexId> lowest_member;
+  for (VertexId v = 0; v < n; ++v) {
+    if (!snap.IsSubject(v) || level_of[v] != tg_hier::kNoLevel) {
+      continue;
+    }
+    const auto level = static_cast<tg_hier::LevelId>(lowest_member.size());
+    for (VertexId w = v; w < n; ++w) {
+      if (reaches[v][w] && reaches[w][v]) {
+        level_of[w] = level;
+      }
+    }
+    lowest_member.push_back(v);
+  }
+  tg_hier::LevelAssignment levels(n, lowest_member.size());
+  for (VertexId v = 0; v < n; ++v) {
+    levels.Assign(v, level_of[v]);
+  }
+  for (tg_hier::LevelId a = 0; a < lowest_member.size(); ++a) {
+    for (tg_hier::LevelId b = 0; b < lowest_member.size(); ++b) {
+      if (a != b && reaches[lowest_member[a]][lowest_member[b]]) {
+        levels.DeclareHigher(a, b);
+      }
+    }
+  }
+  EXPECT_TRUE(levels.Finalize());
+  return levels;
+}
+
+void ExpectSameLevels(const tg_hier::LevelAssignment& got, const tg_hier::LevelAssignment& want,
+                      size_t vertex_count, const std::string& context) {
+  ASSERT_EQ(got.LevelCount(), want.LevelCount()) << context;
+  for (VertexId v = 0; v < vertex_count; ++v) {
+    EXPECT_EQ(got.LevelOf(v), want.LevelOf(v)) << context << " vertex " << v;
+  }
+  for (tg_hier::LevelId a = 0; a < got.LevelCount(); ++a) {
+    for (tg_hier::LevelId b = 0; b < got.LevelCount(); ++b) {
+      EXPECT_EQ(got.Higher(a, b), want.Higher(a, b)) << context << " levels " << a << "," << b;
+    }
+  }
+}
+
+// The bit-parallel level computation must reproduce the scalar reference
+// exactly — same level ids, membership, and higher relation — across sizes
+// and edge densities, with the bit path fanned over a four-thread pool.
+TEST(BitParallelLevelsTest, MatchesScalarReference) {
+  struct Shape {
+    size_t subjects;
+    size_t objects;
+    double edge_factor;
+    uint64_t seed;
+  };
+  tg_util::ThreadPool pool(4);
+  for (const Shape& shape :
+       {Shape{45, 25, 1.9, 2}, Shape{45, 25, 1.9, 13}, Shape{45, 25, 1.9, 77},
+        Shape{30, 18, 1.5, 2026}, Shape{30, 18, 3.0, 2026}, Shape{60, 36, 1.5, 2026},
+        Shape{60, 36, 3.0, 2026}, Shape{80, 48, 1.5, 2026}, Shape{80, 48, 3.0, 2026}}) {
+    ProtectionGraph g = RandomTestGraph(shape.subjects, shape.objects, shape.edge_factor,
+                                        shape.seed);
+    ExpectSameLevels(tg_hier::ComputeRwtgLevels(g, &pool), RwtgLevelsOracle(g),
+                     g.VertexCount(),
+                     "n=" + std::to_string(g.VertexCount()) +
+                         " d=" + std::to_string(shape.edge_factor) +
+                         " seed=" + std::to_string(shape.seed));
   }
 }
 

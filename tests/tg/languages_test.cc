@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,12 @@ struct LanguageCase {
   bool connection;
   bool admissible;
 };
+
+// Prints a case as its word.  The discovered ctest name of each case is
+// "<suite>/<test>/<printed case>", and gtest's default printer would dump
+// the struct's bytes, which hold the word literal's address: the name
+// would then change from process to process.
+void PrintTo(const LanguageCase& c, std::ostream* os) { *os << c.word; }
 
 class LanguageTest : public ::testing::TestWithParam<LanguageCase> {};
 
@@ -96,6 +103,8 @@ struct BocCase {
   const char* word;
   bool expected;
 };
+
+void PrintTo(const BocCase& c, std::ostream* os) { *os << c.word; }
 
 class BridgeOrConnectionTest : public ::testing::TestWithParam<BocCase> {};
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/analysis/cache.h"
@@ -16,6 +17,7 @@
 #include "src/hierarchy/secure.h"
 #include "src/sim/generator.h"
 #include "src/tg/languages.h"
+#include "src/util/metrics.h"
 #include "src/util/prng.h"
 
 namespace tg {
@@ -226,6 +228,130 @@ TEST(SnapshotOverlayTest, IncrementalLevelsAndSecureMatchFreshComputation) {
       }
     }
   }
+}
+
+// Islands of `island_size` vertices (5/8 subjects) with random edges inside
+// each island only, so a mutation's effect stays inside one island.
+ProtectionGraph IslandGraph(size_t islands, size_t island_size, uint64_t seed) {
+  tg_util::Prng prng(seed);
+  ProtectionGraph g;
+  const RightSet kLabels[] = {kRead, kWrite, kTake, kGrant, kReadWrite, kTakeGrant};
+  for (size_t i = 0; i < islands; ++i) {
+    const VertexId base = static_cast<VertexId>(g.VertexCount());
+    for (size_t k = 0; k < island_size; ++k) {
+      (void)(k < island_size * 5 / 8 ? g.AddSubject() : g.AddObject());
+    }
+    for (size_t e = 0; e < island_size * 2; ++e) {
+      const VertexId src = base + static_cast<VertexId>(prng.NextBelow(island_size));
+      const VertexId dst = base + static_cast<VertexId>(prng.NextBelow(island_size));
+      if (src != dst) {
+        EXPECT_TRUE(g.AddExplicit(src, dst, kLabels[prng.NextBelow(std::size(kLabels))]).ok());
+      }
+    }
+  }
+  return g;
+}
+
+// Toggles one random right on a random pair inside one random island:
+// exactly one effective mutation.
+void ToggleIslandEdge(ProtectionGraph& g, tg_util::Prng& prng, size_t islands,
+                      size_t island_size) {
+  const Right kRights[] = {Right::kRead, Right::kWrite, Right::kTake, Right::kGrant};
+  while (true) {
+    const VertexId base = static_cast<VertexId>(prng.NextBelow(islands) * island_size);
+    const VertexId src = base + static_cast<VertexId>(prng.NextBelow(island_size));
+    const VertexId dst = base + static_cast<VertexId>(prng.NextBelow(island_size));
+    if (src == dst) {
+      continue;
+    }
+    const Right r = kRights[prng.NextBelow(std::size(kRights))];
+    if (g.HasExplicit(src, dst, r)) {
+      ASSERT_TRUE(g.RemoveExplicit(src, dst, RightSet(r)).ok());
+    } else {
+      ASSERT_TRUE(g.AddExplicit(src, dst, RightSet(r)).ok());
+    }
+    return;
+  }
+}
+
+// A cache kept across small mutation batches on an island graph answers
+// every knowable row, rwtg-levels, CheckSecure and the channel scan exactly
+// as cold computations do.  Rows of untouched islands survive the journal
+// repair (incremental.rows_reused grows), and the overlay absorbs every
+// batch without a snapshot build.
+TEST(SnapshotOverlayTest, IslandMutationsKeepCachedAnswersEqualToCold) {
+  const bool metrics_were_enabled = tg_util::MetricsEnabled();
+  tg_util::SetMetricsEnabled(true);
+  const tg_util::MetricsRegistry& registry = tg_util::MetricsRegistry::Instance();
+  constexpr size_t kIslands = 3;
+  constexpr size_t kIslandSize = 16;
+  for (size_t batch : {size_t{1}, size_t{4}}) {
+    ProtectionGraph g = IslandGraph(kIslands, kIslandSize, 7);
+    tg_util::Prng prng(1000 + batch);
+    // A random three-level chain over every vertex, so the audits report
+    // real violations and channels inside the islands.
+    tg_hier::LevelAssignment designer(g.VertexCount(), 3);
+    designer.DeclareHigher(1, 0);
+    designer.DeclareHigher(2, 1);
+    for (VertexId v = 0; v < g.VertexCount(); ++v) {
+      designer.Assign(v, static_cast<tg_hier::LevelId>(prng.NextBelow(3)));
+    }
+    ASSERT_TRUE(designer.Finalize());
+
+    tg_analysis::AnalysisCache cache;
+    for (VertexId x = 0; x < g.VertexCount(); ++x) {
+      (void)cache.Knowable(g, x);
+    }
+    const uint64_t reused_before = registry.CounterValue("incremental.rows_reused");
+    uint64_t cached_builds = 0;
+    size_t violations_seen = 0;
+    for (int step = 0; step < 6; ++step) {
+      const std::string context =
+          "batch " + std::to_string(batch) + " step " + std::to_string(step);
+      for (size_t m = 0; m < batch; ++m) {
+        ToggleIslandEdge(g, prng, kIslands, kIslandSize);
+      }
+      const uint64_t builds_before = registry.CounterValue("snapshot.builds");
+      std::vector<std::vector<bool>> rows;
+      for (VertexId x = 0; x < g.VertexCount(); ++x) {
+        rows.push_back(cache.Knowable(g, x));
+      }
+      tg_hier::LevelAssignment levels = tg_hier::ComputeRwtgLevels(g, cache);
+      tg_hier::SecurityReport report = tg_hier::CheckSecure(g, designer, cache);
+      std::vector<tg_hier::CrossLevelChannel> channels =
+          tg_hier::FindCrossLevelChannels(g, designer, cache);
+      cached_builds += registry.CounterValue("snapshot.builds") - builds_before;
+
+      for (VertexId x = 0; x < g.VertexCount(); ++x) {
+        EXPECT_EQ(rows[x], tg_analysis::KnowableFrom(g, x)) << context << " row " << x;
+      }
+      tg_hier::LevelAssignment cold_levels = tg_hier::ComputeRwtgLevels(g);
+      ASSERT_EQ(levels.LevelCount(), cold_levels.LevelCount()) << context;
+      for (VertexId v = 0; v < g.VertexCount(); ++v) {
+        EXPECT_EQ(levels.LevelOf(v), cold_levels.LevelOf(v)) << context << " vertex " << v;
+      }
+      tg_hier::SecurityReport cold_report = tg_hier::CheckSecure(g, designer);
+      EXPECT_EQ(report.secure, cold_report.secure) << context;
+      ASSERT_EQ(report.violations.size(), cold_report.violations.size()) << context;
+      for (size_t i = 0; i < report.violations.size(); ++i) {
+        EXPECT_EQ(report.violations[i].detail, cold_report.violations[i].detail) << context;
+      }
+      violations_seen += report.violations.size();
+      std::vector<tg_hier::CrossLevelChannel> cold_channels =
+          tg_hier::FindCrossLevelChannels(g, designer);
+      ASSERT_EQ(channels.size(), cold_channels.size()) << context;
+      for (size_t i = 0; i < channels.size(); ++i) {
+        EXPECT_EQ(channels[i].from, cold_channels[i].from) << context;
+        EXPECT_EQ(channels[i].to, cold_channels[i].to) << context;
+        EXPECT_EQ(channels[i].path, cold_channels[i].path) << context;
+      }
+    }
+    EXPECT_GT(violations_seen, 0u) << "batch " << batch;
+    EXPECT_GT(registry.CounterValue("incremental.rows_reused"), reused_before)
+        << "batch " << batch;
+    EXPECT_EQ(cached_builds, 0u) << "batch " << batch;
+  }
+  tg_util::SetMetricsEnabled(metrics_were_enabled);
 }
 
 }  // namespace

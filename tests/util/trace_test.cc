@@ -113,14 +113,14 @@ TEST_F(TraceTest, ConcurrentRecordsAllLand) {
 TEST_F(TraceTest, RenderTextShowsMostRecentLimit) {
   TraceBuffer buffer(16);
   for (uint64_t i = 0; i < 5; ++i) {
-    buffer.Record(TraceKind::kBatchRows, i * 1000, 500, i, 4);
+    buffer.Record(TraceKind::kBitReach, i * 1000, 500, i, 4);
   }
   std::string all = buffer.RenderText();
   std::string last_two = buffer.RenderText(2);
-  EXPECT_NE(all.find("batch_rows"), std::string::npos) << all;
-  EXPECT_EQ(last_two.find("0 batch_rows"), std::string::npos) << last_two;
-  EXPECT_NE(last_two.find("3 batch_rows"), std::string::npos) << last_two;
-  EXPECT_NE(last_two.find("4 batch_rows"), std::string::npos) << last_two;
+  EXPECT_NE(all.find("bit_reach"), std::string::npos) << all;
+  EXPECT_EQ(last_two.find("0 bit_reach"), std::string::npos) << last_two;
+  EXPECT_NE(last_two.find("3 bit_reach"), std::string::npos) << last_two;
+  EXPECT_NE(last_two.find("4 bit_reach"), std::string::npos) << last_two;
 }
 
 TEST_F(TraceTest, NowNsIsMonotonic) {
@@ -213,7 +213,7 @@ TEST_F(TraceTest, QueryScopeAllocatesIdAndNestedScopeJoins) {
     EXPECT_TRUE(root.is_root());
     EXPECT_NE(root_id, 0u);
     {
-      QueryScope nested(QueryKind::kKnowableAll);
+      QueryScope nested(QueryKind::kKnowable);
       EXPECT_FALSE(nested.is_root());
       EXPECT_EQ(nested.query_id(), root_id);
       nested.set_result(3);
@@ -235,7 +235,7 @@ TEST_F(TraceTest, QueryScopeAllocatesIdAndNestedScopeJoins) {
   EXPECT_EQ(root.query_id, root_id);
   EXPECT_EQ(nested.parent_span, root.span_id);
   EXPECT_EQ(root.parent_span, 0u);
-  EXPECT_EQ(nested.arg0, static_cast<uint64_t>(QueryKind::kKnowableAll));
+  EXPECT_EQ(nested.arg0, static_cast<uint64_t>(QueryKind::kKnowable));
   EXPECT_EQ(nested.arg1, 3u);
   EXPECT_EQ(root.arg1, 1u);  // verdict true
 }
@@ -245,7 +245,7 @@ TEST_F(TraceTest, ParallelForForwardsContextToWorkers) {
   ThreadPool pool(4);
   uint64_t query_id = 0;
   {
-    QueryScope query(QueryKind::kBatchRows);
+    QueryScope query(QueryKind::kRwtgLevels);
     query_id = query.query_id();
     pool.ParallelFor(64, [&](size_t) { TraceSpan span(TraceKind::kBitReach); });
   }
