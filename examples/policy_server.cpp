@@ -1,7 +1,7 @@
 // policy_server: the always-on policy daemon.
 //
 //   policy_server --graph FILE.tgg [FILE.lvl] [--socket PATH] [--port N]
-//                 [--threads N] [--cache N] [--admit-mode connection|edge]
+//                 [--threads N] [--admit-mode connection|edge]
 //   policy_server --demo [--socket PATH] [--port N] [--threads N]
 //
 // Loads a protection graph (with a designer .lvl assignment, or rwtg-levels
@@ -60,8 +60,6 @@ int main(int argc, char** argv) {
       options.tcp_port = std::atoi(next("--port"));
     } else if (arg == "--threads") {
       options.engine.threads = static_cast<size_t>(std::atol(next("--threads")));
-    } else if (arg == "--cache") {
-      options.engine.cache_entries = static_cast<size_t>(std::atol(next("--cache")));
     } else if (arg == "--admit-mode") {
       const std::string mode = next("--admit-mode");
       if (mode == "connection") {

@@ -2,7 +2,8 @@
 # Sanitizer gate: builds the asan and tsan presets and runs every test not
 # labeled "slow" under each.  The fast label covers all unit suites plus
 # the observability cross-checks; the slow label (fuzz, corpus, CLI
-# subprocess tests) stays in the default ctest run.
+# subprocess tests, timing gates) stays in the default ctest run, and the
+# timing gates and round-trips also run below from the regular build.
 #
 #   scripts/check.sh            # asan + tsan
 #   scripts/check.sh asan       # one preset only
@@ -26,54 +27,20 @@ for preset in "${presets[@]}"; do
   ctest --test-dir "build-$preset" -LE slow --output-on-failure -j "$jobs"
 done
 
-# Bench smoke from the regular (optimized) build: the level-sharded and
-# bridge-enum audits must stay report-identical to the dense engine, the
-# admission gate must match the full re-audit, and the policy server must
-# answer over the wire exactly as in process.
-echo "=== bench smoke (sharded-audit, bridge-enum, admission and server guards) ==="
+# Timing gates from the regular (optimized) build: metrics-on read
+# throughput >= 0.97x metrics-off, and an admission-gate decision >= 50x
+# cheaper than a per-operation re-audit.  They compare CPU costs, so they
+# are labeled slow and skipped above: under a sanitizer they would measure
+# its instrumentation.  Then the subprocess round-trips of the real
+# policy_server, policy_client and tgtop binaries.
+echo "=== regular build: timing gates and server round-trips ==="
 if [ ! -f build/CMakeCache.txt ]; then
   cmake -B build >/dev/null
 fi
 cmake --build build -j "$jobs" \
-  --target bench_scale bench_bridges bench_admission bench_server policy_server \
-           policy_client tgtop audit_tool >/dev/null
-
-# Keep the previous run's server-bench artifact so bench_compare can diff
-# this run against it below.
-prev_server_bench=""
-if [ -f build/tests/BENCH_server_smoke.json ]; then
-  prev_server_bench="build/BENCH_server_smoke.prev.json"
-  cp build/tests/BENCH_server_smoke.json "$prev_server_bench"
-fi
-
-# Benchmark artifacts record the machine context; warn loudly when this
-# run's numbers would come from a single effective core (TG_THREADS=1 or a
-# 1-core machine) — parallel-speedup rows from such a run are meaningless,
-# and the policy-server bench degenerates to a single-worker server (its
-# multi-thread read-QPS scaling rows say nothing about the epoll/MVCC
-# design, only about one core round-robining threads).
-effective_threads="${TG_THREADS:-$(nproc 2>/dev/null || echo 1)}"
-if [ "$effective_threads" -le 1 ]; then
-  echo "WARNING: bench smoke running with a single effective core" \
-       "(TG_THREADS=${TG_THREADS:-unset}, nproc=$(nproc 2>/dev/null || echo '?'));" \
-       "treat parallel-speedup numbers — including the server bench's" \
-       "single-worker QPS rows — as noise." >&2
-fi
-
-ctest --test-dir build \
-  -R 'bench_scale_smoke|bench_bridges_smoke|bench_admission_smoke|bench_server_smoke|policy_server_roundtrip|metrics_roundtrip' \
-  --output-on-failure
-
-# Bench-drift canary: diff this run's server-bench numbers against the
-# previous run's (kept above).  Advisory — prints WARNING lines on >20%
-# regressions but never fails the gate; a smoke run on a shared box is too
-# noisy for a hard cutoff.
-if [ -n "$prev_server_bench" ] && command -v python3 >/dev/null 2>&1 &&
-   [ -f build/tests/BENCH_server_smoke.json ]; then
-  echo "=== bench drift (server smoke, vs previous run) ==="
-  python3 scripts/bench_compare.py "$prev_server_bench" \
-    build/tests/BENCH_server_smoke.json || true
-fi
+  --target timing_tests policy_server policy_client tgtop audit_tool >/dev/null
+ctest --test-dir build -R '^(MetricsOverheadTest|AdmissionSpeedupTest)\.' --output-on-failure
+ctest --test-dir build -R '^(policy_server_roundtrip|metrics_roundtrip)$' --output-on-failure
 
 # Trace-export gate: run the demo audit with the Perfetto exporter on and
 # validate the trace_event JSON shape that chrome://tracing / Perfetto
@@ -100,4 +67,4 @@ else
   echo "validate_trace: python3 not found, skipping channel validation"
 fi
 
-echo "=== all sanitizer checks passed; bench smoke, telemetry roundtrip, trace and channel exports ok ==="
+echo "=== all sanitizer checks passed; timing gates, server round-trips, trace and channel exports ok ==="

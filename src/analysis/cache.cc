@@ -34,7 +34,6 @@ AnalysisCache::AnalysisCache(size_t max_entries)
 
 void AnalysisCache::Invalidate() {
   overlay_.Reset();
-  reach_.clear();
   knowable_.clear();
 }
 
@@ -86,28 +85,24 @@ void AnalysisCache::RepairEntries(const std::vector<uint64_t>& affected_words,
   // the clean ones.  A row computed for a source id that was invalid then
   // (all-false row, empty footprint) must not survive that id becoming
   // valid.
-  auto reconcile = [&](auto& rows, auto source_of) {
-    for (auto it = rows.begin(); it != rows.end();) {
-      const VertexId source = source_of(it->first);
-      const std::vector<uint64_t>& deps = it->second.deps;
-      const size_t limit = std::min(deps.size(), affected_words.size());
-      bool dirty = grew && source >= old_n && source < n;
-      for (size_t w = 0; w < limit && !dirty; ++w) {
-        dirty = (deps[w] & affected_words[w]) != 0;
-      }
-      if (dirty) {
-        it = rows.erase(it);
-        continue;
-      }
-      if (n > old_n) {
-        it->second.value.resize(n, false);
-      }
-      ++rows_kept;
-      ++it;
+  for (auto it = knowable_.begin(); it != knowable_.end();) {
+    const VertexId source = it->first;
+    const std::vector<uint64_t>& deps = it->second.deps;
+    const size_t limit = std::min(deps.size(), affected_words.size());
+    bool dirty = grew && source >= old_n && source < n;
+    for (size_t w = 0; w < limit && !dirty; ++w) {
+      dirty = (deps[w] & affected_words[w]) != 0;
     }
-  };
-  reconcile(reach_, [](const ReachKey& key) { return key.source; });
-  reconcile(knowable_, [](VertexId x) { return x; });
+    if (dirty) {
+      it = knowable_.erase(it);
+      continue;
+    }
+    if (n > old_n) {
+      it->second.value.resize(n, false);
+    }
+    ++rows_kept;
+    ++it;
+  }
 
   if (rows_kept > 0) {
     Metrics().rows_reused.Add(rows_kept);
@@ -127,47 +122,16 @@ void AnalysisCache::EvictIfFull() {
   // it removes about half (ticks are unique, so at least one).
   std::vector<uint64_t> ticks;
   ticks.reserve(entry_count());
-  for (const auto& [key, entry] : reach_) {
-    ticks.push_back(entry.last_used);
-  }
   for (const auto& [key, entry] : knowable_) {
     ticks.push_back(entry.last_used);
   }
   auto median = ticks.begin() + ticks.size() / 2;
   std::nth_element(ticks.begin(), median, ticks.end());
   const uint64_t cutoff = *median;
-  size_t dropped = 0;
-  auto drop_stale = [&](auto& rows) {
-    dropped += std::erase_if(rows, [&](const auto& kv) { return kv.second.last_used <= cutoff; });
-  };
-  drop_stale(reach_);
-  drop_stale(knowable_);
+  const size_t dropped =
+      std::erase_if(knowable_, [&](const auto& kv) { return kv.second.last_used <= cutoff; });
   evictions_ += dropped;
   Metrics().evictions.Add(dropped);
-}
-
-const std::vector<bool>& AnalysisCache::Reachable(const tg::ProtectionGraph& g,
-                                                  VertexId source, const tg_util::Dfa& dfa,
-                                                  bool use_implicit, uint32_t min_steps) {
-  Refresh(g);
-  ReachKey key{&dfa, source, use_implicit, min_steps};
-  auto it = reach_.find(key);
-  if (it != reach_.end()) {
-    ++hits_;
-    Metrics().hits.Add();
-    it->second.last_used = Touch();
-    return it->second.value;
-  }
-  ++misses_;
-  Metrics().misses.Add();
-  EvictIfFull();
-  tg::SnapshotBfsOptions options{use_implicit, min_steps};
-  const VertexId sources[] = {source};
-  Entry entry;
-  entry.value =
-      SnapshotWordReachableTouched(overlay_.snapshot(), sources, dfa, entry.deps, options);
-  entry.last_used = Touch();
-  return reach_.emplace(key, std::move(entry)).first->second.value;
 }
 
 const std::vector<bool>& AnalysisCache::Knowable(const tg::ProtectionGraph& g, VertexId x) {

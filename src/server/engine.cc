@@ -123,7 +123,7 @@ PolicyEngine::PolicyEngine(tg::ProtectionGraph graph, tg_hier::LevelAssignment l
       pool_(options.threads) {
   slot_caches_.reserve(pool_.thread_count());
   for (size_t i = 0; i < pool_.thread_count(); ++i) {
-    slot_caches_.push_back(std::make_unique<tg_analysis::AnalysisCache>(options.cache_entries));
+    slot_caches_.push_back(std::make_unique<tg_analysis::AnalysisCache>());
   }
   PublishIfAdvanced();  // published_ is null, so this always publishes epoch 0
 }

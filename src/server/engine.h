@@ -59,8 +59,6 @@ class PolicyEngine {
     tg_hier::AdmissionGate::Options gate;
     // Worker pool size for read batches (0 = ThreadPool::DefaultThreadCount).
     size_t threads = 0;
-    // Per-worker-slot AnalysisCache entry cap.
-    size_t cache_entries = tg_analysis::AnalysisCache::kDefaultMaxEntries;
   };
 
   PolicyEngine(tg::ProtectionGraph graph, tg_hier::LevelAssignment levels, Options options);

@@ -125,17 +125,54 @@ uint64_t TraceBuffer::Record(TraceKind kind, uint64_t start_ns, uint64_t duratio
   return event.span_id;
 }
 
+void TraceBuffer::StoreWords(Slot& slot, const TraceEvent& event) {
+  const uint64_t words[kEventWords] = {
+      static_cast<uint64_t>(event.kind), event.seq,     event.start_ns,
+      event.duration_ns,                 event.arg0,    event.arg1,
+      event.query_id,                    event.span_id, event.parent_span};
+  for (size_t i = 0; i < kEventWords; ++i) {
+    slot.words[i].store(words[i], std::memory_order_relaxed);
+  }
+}
+
+TraceEvent TraceBuffer::LoadWords(const Slot& slot) {
+  uint64_t words[kEventWords];
+  for (size_t i = 0; i < kEventWords; ++i) {
+    words[i] = slot.words[i].load(std::memory_order_relaxed);
+  }
+  TraceEvent event;
+  event.kind = static_cast<TraceKind>(words[0]);
+  event.seq = words[1];
+  event.start_ns = words[2];
+  event.duration_ns = words[3];
+  event.arg0 = words[4];
+  event.arg1 = words[5];
+  event.query_id = words[6];
+  event.span_id = words[7];
+  event.parent_span = words[8];
+  return event;
+}
+
 void TraceBuffer::RecordEvent(TraceEvent event) {
   const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   event.seq = seq;
   Slot& slot = ring_[seq % capacity_];
-  // Un-publish, fill, re-publish.  Two writers can collide on one slot
-  // only when they are a full ring apart in seq; the stale writer's stamp
-  // then fails the readers' bracket check, so the worst case is one lost
-  // diagnostic event, never a torn one.
-  slot.ready.store(0, std::memory_order_relaxed);
-  slot.event = event;
-  slot.ready.store(seq + 1, std::memory_order_release);
+  // Claim the slot unless another writer owns it or a newer event already
+  // holds it; either way this event is lost, never torn.  Two writers meet
+  // on one slot only when they are a full ring apart in seq.
+  uint64_t stamp = slot.ready.load(std::memory_order_relaxed);
+  bool claimed = false;
+  while ((stamp & kWriting) == 0 && stamp <= seq && !claimed) {
+    claimed = slot.ready.compare_exchange_weak(stamp, kWriting | (seq + 1),
+                                               std::memory_order_relaxed);
+  }
+  if (claimed) {
+    // Seqlock write: the release fence orders the claim before the words,
+    // so a reader that copies any of them sees a changed stamp afterwards.
+    std::atomic_thread_fence(std::memory_order_release);
+    StoreWords(slot, event);
+    slot.ready.store(seq + 1, std::memory_order_release);
+  }
   if (this == &Instance()) {
     static Gauge& lost = GetGauge("trace.dropped");
     const uint64_t recorded = seq + 1;
@@ -158,8 +195,9 @@ std::vector<TraceEvent> TraceBuffer::Events() const {
     if (slot.ready.load(std::memory_order_acquire) != seq + 1) {
       continue;  // claimed but unpublished, or already overwritten
     }
-    TraceEvent copy = slot.event;
-    if (slot.ready.load(std::memory_order_acquire) != seq + 1) {
+    TraceEvent copy = LoadWords(slot);
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (slot.ready.load(std::memory_order_relaxed) != seq + 1) {
       continue;
     }
     out.push_back(copy);
@@ -181,7 +219,8 @@ void TraceBuffer::Clear() {
   // writers, which would re-publish into the cleared ring.
   for (Slot& slot : ring_) {
     slot.ready.store(0, std::memory_order_relaxed);
-    slot.event = TraceEvent{};
+    std::atomic_thread_fence(std::memory_order_release);
+    StoreWords(slot, TraceEvent{});
   }
   next_seq_.store(0, std::memory_order_release);
   if (this == &Instance()) {

@@ -24,10 +24,14 @@
 // trace.dropped gauge mirrors the loss into the metrics registry so
 // RenderText/RenderJson exporters cannot silently under-report).
 // Recording is lock-free: a writer claims a sequence number with one
-// relaxed fetch_add, fills its slot, and publishes it by storing seq + 1
-// into the slot's ready stamp (release).  Readers accept a slot only when
-// the stamp brackets a consistent copy, so an event being overwritten
-// mid-read is skipped rather than returned torn — the policy server's
+// relaxed fetch_add, then fills its slot under a per-slot seqlock.  The
+// event's words are relaxed atomics; the writer claims the slot's stamp
+// (one CAS), fences, stores the words, and publishes by storing seq + 1
+// (release).  Readers accept a copy only when the stamp reads seq + 1 on
+// both sides of it (the second read after an acquire fence), so an event
+// being overwritten mid-read is skipped rather than returned torn.  A
+// writer that finds its slot claimed by another writer, a full ring
+// apart, drops its event instead of waiting.  The policy server's
 // per-request query spans record from every pool worker at once, and a
 // recording mutex would serialize exactly the path the server fans out.
 // Each Record also feeds a per-kind duration histogram (span.<kind>_ns)
@@ -243,12 +247,17 @@ class TraceBuffer {
 
  private:
   // One ring slot.  `ready` holds seq + 1 once the event for `seq` is
-  // fully written (0 = empty or being written); writers store it with
-  // release order, readers load with acquire and re-check after copying.
+  // fully written, 0 while empty, and kWriting | (seq + 1) while the
+  // writer of `seq` owns it.  `words` holds the TraceEvent fields.
+  static constexpr uint64_t kWriting = uint64_t{1} << 63;
+  static constexpr size_t kEventWords = 9;
   struct Slot {
     std::atomic<uint64_t> ready{0};
-    TraceEvent event;
+    std::atomic<uint64_t> words[kEventWords];
   };
+
+  static void StoreWords(Slot& slot, const TraceEvent& event);
+  static TraceEvent LoadWords(const Slot& slot);
 
   const size_t capacity_;
   std::vector<Slot> ring_;  // slot = seq % capacity_

@@ -41,17 +41,26 @@ tg::ProtectionGraph Random(uint64_t seed, size_t subjects, size_t objects,
 }
 
 tg_sim::GeneratedHierarchy Hierarchy(size_t planted, uint64_t seed, size_t levels = 4,
-                                     size_t clusters = 3) {
+                                     size_t clusters = 3, size_t subjects = 5,
+                                     size_t objects = 2) {
   tg_util::Prng prng(seed);
   tg_sim::HierarchicalGraphOptions options;
   options.levels = levels;
   options.clusters_per_level = clusters;
-  options.subjects_per_cluster = 5;
-  options.objects_per_cluster = 2;
+  options.subjects_per_cluster = subjects;
+  options.objects_per_cluster = objects;
   options.tg_chords_per_cluster = 2;
   options.reads_down_per_subject = 1;
   options.planted_channels = planted;
   return tg_sim::HierarchicalGraph(options, prng);
+}
+
+// Clusters of 24 subjects and 8 objects, the shape of perfbench's audit
+// workloads: 3 levels of 2 clusters (n = 192) with 0 or 4 planted
+// channels, seeded 19 + planted.
+tg_sim::GeneratedHierarchy WideHierarchy(size_t planted) {
+  return Hierarchy(planted, 19 + planted, /*levels=*/3, /*clusters=*/2, /*subjects=*/24,
+                   /*objects=*/8);
 }
 
 // The generic product-BFS answer for one sublanguage from one source.
@@ -202,54 +211,61 @@ void ExpectSameChannels(const std::vector<CrossLevelChannel>& a,
 }
 
 TEST(BridgeEnumTest, CheckSecureMatchesDenseAndShardedOnPlantedConfigs) {
+  auto check = [](const tg_sim::GeneratedHierarchy& h, const std::string& what) {
+    SecurityReport dense = tg_hier::CheckSecure(h.graph, h.levels, 0, nullptr, AuditEngine::kDense);
+    SecurityReport sharded =
+        tg_hier::CheckSecure(h.graph, h.levels, 0, nullptr, AuditEngine::kSharded);
+    SecurityReport bridge =
+        tg_hier::CheckSecure(h.graph, h.levels, 0, nullptr, AuditEngine::kBridgeEnum);
+    ExpectSameReports(dense, bridge, what + " vs dense");
+    ExpectSameReports(sharded, bridge, what + " vs sharded");
+    // Cutoff parity below, at, and above the true count.
+    for (size_t cap : {size_t{1}, size_t{3}, dense.violations.size() + 2}) {
+      SecurityReport dense_cut =
+          tg_hier::CheckSecure(h.graph, h.levels, cap, nullptr, AuditEngine::kDense);
+      SecurityReport bridge_cut =
+          tg_hier::CheckSecure(h.graph, h.levels, cap, nullptr, AuditEngine::kBridgeEnum);
+      ExpectSameReports(dense_cut, bridge_cut, what + " cap=" + std::to_string(cap));
+    }
+  };
   for (size_t planted : {size_t{0}, size_t{2}, size_t{6}}) {
     for (uint64_t seed : {uint64_t{5}, uint64_t{77}}) {
-      tg_sim::GeneratedHierarchy h = Hierarchy(planted, seed);
-      const std::string what =
-          "planted=" + std::to_string(planted) + " seed=" + std::to_string(seed);
-      SecurityReport dense =
-          tg_hier::CheckSecure(h.graph, h.levels, 0, nullptr, AuditEngine::kDense);
-      SecurityReport sharded =
-          tg_hier::CheckSecure(h.graph, h.levels, 0, nullptr, AuditEngine::kSharded);
-      SecurityReport bridge =
-          tg_hier::CheckSecure(h.graph, h.levels, 0, nullptr, AuditEngine::kBridgeEnum);
-      ExpectSameReports(dense, bridge, what + " vs dense");
-      ExpectSameReports(sharded, bridge, what + " vs sharded");
-      // Cutoff parity below, at, and above the true count.
-      for (size_t cap : {size_t{1}, size_t{3}, dense.violations.size() + 2}) {
-        SecurityReport dense_cut =
-            tg_hier::CheckSecure(h.graph, h.levels, cap, nullptr, AuditEngine::kDense);
-        SecurityReport bridge_cut =
-            tg_hier::CheckSecure(h.graph, h.levels, cap, nullptr, AuditEngine::kBridgeEnum);
-        ExpectSameReports(dense_cut, bridge_cut, what + " cap=" + std::to_string(cap));
-      }
+      check(Hierarchy(planted, seed),
+            "planted=" + std::to_string(planted) + " seed=" + std::to_string(seed));
     }
+  }
+  for (size_t planted : {size_t{0}, size_t{4}}) {
+    check(WideHierarchy(planted), "wide planted=" + std::to_string(planted));
   }
 }
 
 TEST(BridgeEnumTest, ChannelsMatchDenseAndShardedOnPlantedConfigs) {
+  auto check = [](const tg_sim::GeneratedHierarchy& h, size_t planted, const std::string& what) {
+    std::vector<CrossLevelChannel> dense =
+        tg_hier::FindCrossLevelChannels(h.graph, h.levels, 0, nullptr, AuditEngine::kDense);
+    std::vector<CrossLevelChannel> sharded =
+        tg_hier::FindCrossLevelChannels(h.graph, h.levels, 0, nullptr, AuditEngine::kSharded);
+    std::vector<CrossLevelChannel> bridge =
+        tg_hier::FindCrossLevelChannels(h.graph, h.levels, 0, nullptr, AuditEngine::kBridgeEnum);
+    ExpectSameChannels(dense, bridge, what + " vs dense");
+    ExpectSameChannels(sharded, bridge, what + " vs sharded");
+    EXPECT_EQ(bridge.empty(), planted == 0) << what;
+    if (!dense.empty()) {
+      std::vector<CrossLevelChannel> dense_cut =
+          tg_hier::FindCrossLevelChannels(h.graph, h.levels, 2, nullptr, AuditEngine::kDense);
+      std::vector<CrossLevelChannel> bridge_cut = tg_hier::FindCrossLevelChannels(
+          h.graph, h.levels, 2, nullptr, AuditEngine::kBridgeEnum);
+      ExpectSameChannels(dense_cut, bridge_cut, what + " cap=2");
+    }
+  };
   for (size_t planted : {size_t{0}, size_t{2}, size_t{6}}) {
     for (uint64_t seed : {uint64_t{13}, uint64_t{99}}) {
-      tg_sim::GeneratedHierarchy h = Hierarchy(planted, seed);
-      const std::string what =
-          "planted=" + std::to_string(planted) + " seed=" + std::to_string(seed);
-      std::vector<CrossLevelChannel> dense =
-          tg_hier::FindCrossLevelChannels(h.graph, h.levels, 0, nullptr, AuditEngine::kDense);
-      std::vector<CrossLevelChannel> sharded =
-          tg_hier::FindCrossLevelChannels(h.graph, h.levels, 0, nullptr, AuditEngine::kSharded);
-      std::vector<CrossLevelChannel> bridge = tg_hier::FindCrossLevelChannels(
-          h.graph, h.levels, 0, nullptr, AuditEngine::kBridgeEnum);
-      ExpectSameChannels(dense, bridge, what + " vs dense");
-      ExpectSameChannels(sharded, bridge, what + " vs sharded");
-      EXPECT_EQ(bridge.empty(), planted == 0) << what;
-      if (!dense.empty()) {
-        std::vector<CrossLevelChannel> dense_cut =
-            tg_hier::FindCrossLevelChannels(h.graph, h.levels, 2, nullptr, AuditEngine::kDense);
-        std::vector<CrossLevelChannel> bridge_cut = tg_hier::FindCrossLevelChannels(
-            h.graph, h.levels, 2, nullptr, AuditEngine::kBridgeEnum);
-        ExpectSameChannels(dense_cut, bridge_cut, what + " cap=2");
-      }
+      check(Hierarchy(planted, seed), planted,
+            "planted=" + std::to_string(planted) + " seed=" + std::to_string(seed));
     }
+  }
+  for (size_t planted : {size_t{0}, size_t{4}}) {
+    check(WideHierarchy(planted), planted, "wide planted=" + std::to_string(planted));
   }
 }
 
@@ -281,20 +297,28 @@ TEST(BridgeEnumTest, RandomHierarchyShapesMatchAcrossEngines) {
 // --- Typed enumeration: same pairs as the untyped scan, all verified. ---
 
 TEST(BridgeEnumTest, TypedChannelsMatchUntypedScan) {
+  auto expect_same_pairs = [](const tg_sim::GeneratedHierarchy& h, const std::string& what) {
+    std::vector<CrossLevelChannel> untyped =
+        tg_hier::FindCrossLevelChannels(h.graph, h.levels, 0, nullptr, AuditEngine::kBridgeEnum);
+    std::vector<TypedCrossLevelChannel> typed =
+        tg_hier::FindTypedCrossLevelChannels(h.graph, h.levels);
+    ASSERT_EQ(typed.size(), untyped.size()) << what;
+    for (size_t i = 0; i < typed.size(); ++i) {
+      EXPECT_EQ(typed[i].channel.from, untyped[i].from) << what << " " << i;
+      EXPECT_EQ(typed[i].channel.to, untyped[i].to) << what << " " << i;
+      EXPECT_TRUE(typed[i].channel.replay_verified) << what << " " << i;
+      EXPECT_TRUE(tg_analysis::VerifyChannelPath(h.graph, typed[i].channel)) << what << " " << i;
+      EXPECT_EQ(typed[i].from_level, h.levels.LevelOf(untyped[i].from)) << what << " " << i;
+      EXPECT_EQ(typed[i].to_level, h.levels.LevelOf(untyped[i].to)) << what << " " << i;
+    }
+  };
+  for (size_t planted : {size_t{0}, size_t{4}}) {
+    expect_same_pairs(WideHierarchy(planted), "wide planted=" + std::to_string(planted));
+  }
   tg_sim::GeneratedHierarchy h = Hierarchy(/*planted=*/4, /*seed=*/29);
-  std::vector<CrossLevelChannel> untyped =
-      tg_hier::FindCrossLevelChannels(h.graph, h.levels, 0, nullptr, AuditEngine::kBridgeEnum);
+  expect_same_pairs(h, "planted=4 seed=29");
   std::vector<TypedCrossLevelChannel> typed =
       tg_hier::FindTypedCrossLevelChannels(h.graph, h.levels);
-  ASSERT_EQ(typed.size(), untyped.size());
-  for (size_t i = 0; i < typed.size(); ++i) {
-    EXPECT_EQ(typed[i].channel.from, untyped[i].from) << i;
-    EXPECT_EQ(typed[i].channel.to, untyped[i].to) << i;
-    EXPECT_TRUE(typed[i].channel.replay_verified) << i;
-    EXPECT_TRUE(tg_analysis::VerifyChannelPath(h.graph, typed[i].channel)) << i;
-    EXPECT_EQ(typed[i].from_level, h.levels.LevelOf(untyped[i].from)) << i;
-    EXPECT_EQ(typed[i].to_level, h.levels.LevelOf(untyped[i].to)) << i;
-  }
   // Cutoff applies to the typed scan too.
   if (typed.size() > 1) {
     std::vector<TypedCrossLevelChannel> capped =

@@ -5,8 +5,6 @@
 #include "src/analysis/batch.h"
 #include "src/analysis/can_know.h"
 #include "src/sim/generator.h"
-#include "src/tg/languages.h"
-#include "src/tg/path.h"
 #include "src/util/metrics.h"
 #include "src/util/prng.h"
 
@@ -171,27 +169,6 @@ TEST(AnalysisCacheTest, CorrectAfterEveryMutatingOp) {
   ASSERT_TRUE(g.AddExplicit(a, c, tg::kRead).ok());
   ASSERT_TRUE(g.AddExplicit(b, c, tg::kWrite).ok());
   check_all("post setup");
-}
-
-TEST(AnalysisCacheTest, ReachableMemoizesPerDfaAndSource) {
-  ProtectionGraph g;
-  VertexId a = g.AddSubject("a");
-  VertexId b = g.AddSubject("b");
-  ASSERT_TRUE(g.AddExplicit(a, b, tg::kTakeGrant).ok());
-
-  AnalysisCache cache;
-  tg::PathSearchOptions options;
-  const std::vector<bool>& bridges = cache.Reachable(g, a, tg::BridgeDfa());
-  EXPECT_EQ(bridges, WordReachable(g, a, tg::BridgeDfa(), options));
-  size_t misses = cache.misses();
-  // Same key: hit.  Different DFA or source: distinct entries.
-  (void)cache.Reachable(g, a, tg::BridgeDfa());
-  EXPECT_EQ(cache.misses(), misses);
-  (void)cache.Reachable(g, a, tg::BridgeOrConnectionDfa());
-  (void)cache.Reachable(g, b, tg::BridgeDfa());
-  EXPECT_EQ(cache.misses(), misses + 2);
-  EXPECT_EQ(cache.Reachable(g, b, tg::BridgeDfa()),
-            WordReachable(g, b, tg::BridgeDfa(), options));
 }
 
 TEST(AnalysisCacheTest, SnapshotTracksEpochAndInvalidateResets) {

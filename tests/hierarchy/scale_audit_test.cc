@@ -22,17 +22,26 @@ using tg_hier::LevelAssignment;
 using tg_hier::SecurityReport;
 
 tg_sim::GeneratedHierarchy Hierarchy(size_t planted, uint64_t seed, size_t levels = 4,
-                                     size_t clusters = 3) {
+                                     size_t clusters = 3, size_t subjects = 5,
+                                     size_t objects = 2) {
   tg_util::Prng prng(seed);
   tg_sim::HierarchicalGraphOptions options;
   options.levels = levels;
   options.clusters_per_level = clusters;
-  options.subjects_per_cluster = 5;
-  options.objects_per_cluster = 2;
+  options.subjects_per_cluster = subjects;
+  options.objects_per_cluster = objects;
   options.tg_chords_per_cluster = 2;
   options.reads_down_per_subject = 1;
   options.planted_channels = planted;
   return tg_sim::HierarchicalGraph(options, prng);
+}
+
+// Clusters of 24 subjects and 8 objects, the shape of perfbench's audit
+// workloads: 4 levels of 3 clusters (n = 384) with 0 or 4 planted
+// channels, seeded 7 + planted.
+tg_sim::GeneratedHierarchy WideHierarchy(size_t planted) {
+  return Hierarchy(planted, 7 + planted, /*levels=*/4, /*clusters=*/3, /*subjects=*/24,
+                   /*objects=*/8);
 }
 
 void ExpectSameReports(const SecurityReport& a, const SecurityReport& b, const char* what) {
@@ -56,47 +65,77 @@ void ExpectSameChannels(const std::vector<CrossLevelChannel>& a,
 }
 
 TEST(ScaleAuditTest, ShardedCheckSecureMatchesDense) {
+  auto check = [](const tg_sim::GeneratedHierarchy& h, size_t planted, const std::string& what) {
+    SecurityReport dense =
+        tg_hier::CheckSecure(h.graph, h.levels, 0, nullptr, AuditEngine::kDense);
+    EXPECT_EQ(dense.secure, planted == 0) << what;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      tg_util::ThreadPool pool(threads);
+      SecurityReport sharded =
+          tg_hier::CheckSecure(h.graph, h.levels, 0, &pool, AuditEngine::kSharded);
+      ExpectSameReports(dense, sharded, (what + " threads=" + std::to_string(threads)).c_str());
+    }
+  };
   for (size_t planted : {size_t{0}, size_t{2}, size_t{6}}) {
     for (uint64_t seed : {uint64_t{5}, uint64_t{77}}) {
-      tg_sim::GeneratedHierarchy h = Hierarchy(planted, seed);
-      const std::string what =
-          "planted=" + std::to_string(planted) + " seed=" + std::to_string(seed);
+      check(Hierarchy(planted, seed), planted,
+            "planted=" + std::to_string(planted) + " seed=" + std::to_string(seed));
+    }
+  }
+  for (size_t planted : {size_t{0}, size_t{4}}) {
+    check(WideHierarchy(planted), planted, "wide planted=" + std::to_string(planted));
+  }
+  // A larger secure instance: 8 levels of 6 wide clusters (n = 1536).
+  check(Hierarchy(/*planted=*/0, /*seed=*/42, /*levels=*/8, /*clusters=*/6, /*subjects=*/24,
+                  /*objects=*/8),
+        0, "wide 8x6");
+}
+
+TEST(ScaleAuditTest, ShardedCutoffMatchesDense) {
+  struct Case {
+    std::string what;
+    size_t planted;
+    tg_sim::GeneratedHierarchy h;
+  };
+  const Case cases[] = {{"planted=6 seed=31", 6, Hierarchy(/*planted=*/6, /*seed=*/31)},
+                        {"wide planted=0", 0, WideHierarchy(0)},
+                        {"wide planted=4", 4, WideHierarchy(4)}};
+  for (const auto& [what, planted, h] : cases) {
+    SecurityReport full = tg_hier::CheckSecure(h.graph, h.levels, 0, nullptr, AuditEngine::kDense);
+    ASSERT_EQ(full.secure, planted == 0) << what;
+    if (planted > 0) {
+      ASSERT_GT(full.violations.size(), 2u) << what;
+    }
+    // Sweep caps below, at, and above the true count: the truncation point
+    // must agree exactly.
+    for (size_t cap : {size_t{1}, size_t{2}, size_t{3}, full.violations.size(),
+                       full.violations.size() + 5}) {
       SecurityReport dense =
-          tg_hier::CheckSecure(h.graph, h.levels, 0, nullptr, AuditEngine::kDense);
-      EXPECT_EQ(dense.secure, planted == 0) << what;
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        tg_util::ThreadPool pool(threads);
-        SecurityReport sharded =
-            tg_hier::CheckSecure(h.graph, h.levels, 0, &pool, AuditEngine::kSharded);
-        ExpectSameReports(dense, sharded,
-                          (what + " threads=" + std::to_string(threads)).c_str());
-      }
+          tg_hier::CheckSecure(h.graph, h.levels, cap, nullptr, AuditEngine::kDense);
+      SecurityReport sharded =
+          tg_hier::CheckSecure(h.graph, h.levels, cap, nullptr, AuditEngine::kSharded);
+      ExpectSameReports(dense, sharded, (what + " cap=" + std::to_string(cap)).c_str());
+      EXPECT_EQ(dense.violations.size(), std::min(cap, full.violations.size()))
+          << what << " cap=" << cap;
     }
   }
 }
 
-TEST(ScaleAuditTest, ShardedCutoffMatchesDense) {
-  tg_sim::GeneratedHierarchy h = Hierarchy(/*planted=*/6, /*seed=*/31);
-  SecurityReport full = tg_hier::CheckSecure(h.graph, h.levels, 0, nullptr, AuditEngine::kDense);
-  ASSERT_FALSE(full.secure);
-  ASSERT_GT(full.violations.size(), 2u);
-  // Sweep caps below, at, and above the true count: the truncation point
-  // must agree exactly.
-  for (size_t cap : {size_t{1}, size_t{2}, full.violations.size(), full.violations.size() + 5}) {
-    SecurityReport dense =
-        tg_hier::CheckSecure(h.graph, h.levels, cap, nullptr, AuditEngine::kDense);
-    SecurityReport sharded =
-        tg_hier::CheckSecure(h.graph, h.levels, cap, nullptr, AuditEngine::kSharded);
-    ExpectSameReports(dense, sharded, ("cap=" + std::to_string(cap)).c_str());
-    EXPECT_EQ(dense.violations.size(), std::min(cap, full.violations.size()))
-        << "cap=" << cap;
-  }
-}
-
 TEST(ScaleAuditTest, ShardedChannelsMatchDense) {
-  for (size_t planted : {size_t{0}, size_t{4}}) {
-    tg_sim::GeneratedHierarchy h = Hierarchy(planted, /*seed=*/13);
-    const std::string what = "planted=" + std::to_string(planted);
+  struct Case {
+    std::string what;
+    size_t planted;
+    tg_sim::GeneratedHierarchy h;
+  };
+  const Case cases[] = {
+      {"planted=0", 0, Hierarchy(/*planted=*/0, /*seed=*/13)},
+      {"planted=4", 4, Hierarchy(/*planted=*/4, /*seed=*/13)},
+      {"wide planted=0", 0, WideHierarchy(0)},
+      {"wide planted=4", 4, WideHierarchy(4)},
+      {"wide 8x6", 0,
+       Hierarchy(/*planted=*/0, /*seed=*/42, /*levels=*/8, /*clusters=*/6, /*subjects=*/24,
+                 /*objects=*/8)}};
+  for (const auto& [what, planted, h] : cases) {
     std::vector<CrossLevelChannel> dense =
         tg_hier::FindCrossLevelChannels(h.graph, h.levels, 0, nullptr, AuditEngine::kDense);
     EXPECT_EQ(dense.empty(), planted == 0) << what;

@@ -14,6 +14,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -22,9 +23,12 @@
 
 #include "src/server/client.h"
 #include "src/server/protocol.h"
+#include "src/take_grant.h"
 #include "src/util/flight_recorder.h"
 #include "src/util/metrics.h"
+#include "src/util/strings.h"
 #include "src/util/trace.h"
+#include "tests/server/load.h"
 
 namespace tg_server {
 namespace {
@@ -412,6 +416,230 @@ TEST(PolicyServerTest, DisconnectAbortsOpenTxn) {
   auto begin = other.Call("txn begin");
   ASSERT_TRUE(begin.ok());
   EXPECT_TRUE(IsOk(*begin)) << *begin;
+}
+
+// ---- Wire answers vs in-process answers under multi-connection load ----
+
+// The outcome a write line's response reports: the admit outcome,
+// "begin", "commit:<applied>", "commit-refused" or "error".
+std::string WireOutcome(const std::string& line, const std::string& response) {
+  if (!IsOk(response)) {
+    return "error";
+  }
+  if (line == "txn begin") {
+    return "begin";
+  }
+  if (line == "txn commit") {
+    return ExtractJsonField(response, "committed") == "true"
+               ? "commit:" + ExtractJsonField(response, "applied")
+               : "commit-refused";
+  }
+  const std::string key = "\"outcome\":\"";  // nested in "decision"
+  const size_t at = response.find(key);
+  if (at == std::string::npos) {
+    return "error";
+  }
+  const size_t begin = at + key.size();
+  return response.substr(begin, response.find('"', begin) - begin);
+}
+
+// Executes one write line on a shadow gate the way the server does, and
+// reports its outcome in WireOutcome's terms.
+std::string ShadowOutcome(tg_hier::AdmissionGate& gate, const std::string& line) {
+  if (line == "txn begin") {
+    if (gate.in_txn()) {
+      return "error";
+    }
+    gate.Begin();
+    return "begin";
+  }
+  if (line == "txn commit") {
+    auto result = gate.Commit();
+    if (!result.ok()) {
+      return "error";
+    }
+    return result->committed ? "commit:" + std::to_string(result->applied) : "commit-refused";
+  }
+  std::vector<std::string_view> tok = tg_util::SplitWhitespace(line);
+  auto rule =
+      ParseRuleClause(std::vector<std::string_view>(tok.begin() + 1, tok.end()), gate.graph());
+  if (!rule.ok()) {
+    return "error";
+  }
+  tg_hier::AdmissionDecision d = gate.in_txn() ? gate.Submit(std::move(rule).value())
+                                               : gate.Admit(std::move(rule).value());
+  return tg_hier::AdmissionOutcomeName(d.outcome);
+}
+
+// The verdict (or knowable count) a read line gets in process.
+std::string AnswerInProcess(const tg::ProtectionGraph& g, tg_analysis::AnalysisCache& cache,
+                            const std::string& line) {
+  std::vector<std::string_view> tok = tg_util::SplitWhitespace(line);
+  const bool share = tok[0] == "can_share";
+  const tg::VertexId x = g.FindVertex(tok[share ? 2 : 1]);
+  if (tok[0] == "knowable") {
+    const std::vector<bool>& row = cache.Knowable(g, x);
+    return std::to_string(std::count(row.begin(), row.end(), true));
+  }
+  const tg::VertexId y = g.FindVertex(tok[share ? 3 : 2]);
+  bool yes = false;
+  if (tok[0] == "can_know") {
+    yes = cache.CanKnow(g, x, y);
+  } else if (tok[0] == "can_knowf") {
+    yes = tg_analysis::CanKnowF(g, x, y);
+  } else {
+    yes = tg_analysis::CanShare(g, tg::Right::kRead, x, y);
+  }
+  return yes ? "true" : "false";
+}
+
+// Two reader connections and one writer drive a 24-vertex hierarchy at
+// once: 10% autocommitted admits ("mixed"), then 50% admits grouped into
+// 32-rule wire transactions ("admission_heavy").  Replaying the write log
+// through a shadow gate must reproduce every decision and the final
+// epoch, and every read must equal the in-process answer on the shadow
+// graph at the epoch its response reports.
+TEST(PolicyServerTest, WireAnswersMatchInProcessUnderMixedLoad) {
+  tg_sim::HierarchicalGraphOptions shape;
+  shape.levels = 2;
+  shape.clusters_per_level = 2;
+  shape.subjects_per_cluster = 4;
+  shape.objects_per_cluster = 2;
+  tg_util::Prng prng(4242);
+  const tg_sim::GeneratedHierarchy h = tg_sim::HierarchicalGraph(shape, prng);
+  std::vector<std::string> names;
+  std::vector<std::string> subjects;
+  for (tg::VertexId v = 0; v < static_cast<tg::VertexId>(h.graph.VertexCount()); ++v) {
+    names.push_back(h.graph.NameOf(v));
+    if (h.graph.IsSubject(v)) {
+      subjects.push_back(h.graph.NameOf(v));
+    }
+  }
+  ASSERT_EQ(names.size(), 24u);
+
+  struct Load {
+    const char* name;
+    uint64_t write_pct;
+    bool txns;
+  };
+  constexpr uint64_t kSeed = 1000;
+  constexpr uint64_t kRequests = 400;
+  constexpr size_t kReaders = 2;
+  for (const Load& load : {Load{"mixed", 10, false}, Load{"admission_heavy", 50, true}}) {
+    SCOPED_TRACE(load.name);
+    const uint64_t admits = kRequests * load.write_pct / 100;
+    const uint64_t reads = kRequests - admits;
+    std::vector<std::string> writes;
+    Zipf write_zipf(names.size(), kSeed * 31 + 7);
+    size_t create_seq = 0;
+    for (uint64_t i = 0; i < admits; ++i) {
+      if (load.txns && i % 32 == 0) {
+        writes.push_back("txn begin");
+      }
+      writes.push_back(MakeAdmitLine(write_zipf, subjects, names, &create_seq));
+      if (load.txns && ((i + 1) % 32 == 0 || i + 1 == admits)) {
+        writes.push_back("txn commit");
+      }
+    }
+
+    PolicyServer::Options options;
+    options.unix_path = UniqueSocketPath("load");
+    PolicyServer server(h.graph, h.levels, options);
+    ASSERT_TRUE(server.Start().ok());
+
+    struct Read {
+      uint64_t epoch;
+      std::string line;
+      std::string verdict;
+    };
+    std::vector<std::vector<Read>> read_logs(kReaders);
+    std::vector<std::string> write_outcomes;
+    std::vector<std::string> errors(kReaders + 1);
+    std::vector<std::thread> drivers;
+    // Sends `lines` in frames of `frame_size`, handing each answered line
+    // and its response to `record`.
+    auto drive = [&](size_t lane, const std::vector<std::string>& lines, size_t frame_size,
+                     auto record) {
+      PolicyClient client;
+      if (auto s = client.ConnectUnix(server.unix_path()); !s.ok()) {
+        errors[lane] = s.ToString();
+        return;
+      }
+      for (size_t at = 0; at < lines.size(); at += frame_size) {
+        const std::vector<std::string> frame(
+            lines.begin() + at, lines.begin() + std::min(at + frame_size, lines.size()));
+        auto responses = client.CallBatch(frame);
+        if (!responses.ok()) {
+          errors[lane] = responses.status().ToString();
+          return;
+        }
+        for (size_t i = 0; i < frame.size(); ++i) {
+          record(frame[i], (*responses)[i]);
+        }
+      }
+    };
+    for (size_t t = 0; t < kReaders; ++t) {
+      drivers.emplace_back([&, t] {
+        Zipf zipf(names.size(), kSeed + t);
+        std::vector<std::string> lines(reads / kReaders + (t < reads % kReaders ? 1 : 0));
+        for (std::string& line : lines) {
+          line = MakeReadLine(zipf, names);
+        }
+        drive(t, lines, 16, [&](const std::string& line, const std::string& response) {
+          const bool knowable = line.rfind("knowable", 0) == 0;
+          read_logs[t].push_back(
+              {IsOk(response) ? std::stoull(ExtractJsonField(response, "epoch")) : ~uint64_t{0},
+               line, ExtractJsonField(response, knowable ? "count" : "verdict")});
+        });
+      });
+    }
+    drivers.emplace_back([&] {
+      drive(kReaders, writes, 8, [&](const std::string& line, const std::string& response) {
+        write_outcomes.push_back(WireOutcome(line, response));
+      });
+    });
+    for (std::thread& t : drivers) {
+      t.join();
+    }
+    for (const std::string& error : errors) {
+      ASSERT_TRUE(error.empty()) << error;
+    }
+    PolicyClient end_state;
+    ASSERT_TRUE(end_state.ConnectUnix(server.unix_path()).ok());
+    auto epoch_response = end_state.Call("epoch");
+    ASSERT_TRUE(epoch_response.ok());
+    const uint64_t wire_epoch = EpochOf(*epoch_response);
+    server.Stop();
+
+    std::vector<Read> all_reads;
+    for (const std::vector<Read>& log : read_logs) {
+      all_reads.insert(all_reads.end(), log.begin(), log.end());
+    }
+    ASSERT_EQ(all_reads.size(), reads);
+    std::stable_sort(all_reads.begin(), all_reads.end(),
+                     [](const Read& a, const Read& b) { return a.epoch < b.epoch; });
+    auto shadow = tg_hier::AdmissionGate::Create(h.graph, h.levels);
+    tg_analysis::AnalysisCache cache;
+    size_t next = 0;
+    auto answer_due = [&] {
+      const uint64_t epoch = shadow->graph().epoch();
+      for (; next < all_reads.size() && all_reads[next].epoch <= epoch; ++next) {
+        const Read& read = all_reads[next];
+        EXPECT_EQ(read.epoch, epoch) << read.line;
+        EXPECT_EQ(AnswerInProcess(shadow->graph(), cache, read.line), read.verdict)
+            << read.line << " at epoch " << read.epoch;
+      }
+    };
+    answer_due();
+    ASSERT_EQ(write_outcomes.size(), writes.size());
+    for (size_t i = 0; i < writes.size(); ++i) {
+      EXPECT_EQ(ShadowOutcome(*shadow, writes[i]), write_outcomes[i]) << writes[i];
+      answer_due();
+    }
+    EXPECT_EQ(next, all_reads.size()) << "reads answered at epochs the shadow never reached";
+    EXPECT_EQ(shadow->graph().epoch(), wire_epoch);
+    EXPECT_GT(wire_epoch, 0u);
+  }
 }
 
 // ---- Protocol robustness ----

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/util/thread_pool.h"
@@ -108,6 +110,48 @@ TEST_F(TraceTest, ConcurrentRecordsAllLand) {
   for (size_t i = 1; i < events.size(); ++i) {
     EXPECT_EQ(events[i].seq, events[i - 1].seq + 1);
   }
+}
+
+// Writers overfill a four-slot ring while a reader copies it: each slot
+// is rewritten while copies of it are in flight, yet every returned event
+// must be one writer's whole event.  The writers derive start_ns,
+// duration_ns and arg1 from arg0, so a copy mixing two events shows.
+TEST_F(TraceTest, ReadersNeverSeeTornEventsWhileWritersOverfill) {
+  TraceBuffer buffer(4);
+  constexpr uint64_t kWriters = 3;
+  constexpr uint64_t kPerWriter = 20000;
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> seen{0};
+  std::atomic<uint64_t> torn{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const std::vector<TraceEvent> events = buffer.Events();
+      for (size_t i = 0; i < events.size(); ++i) {
+        const TraceEvent& e = events[i];
+        const bool whole = e.kind == TraceKind::kBitReach && e.start_ns == e.arg0 &&
+                           e.duration_ns == e.arg0 % 977 && e.arg1 == ~e.arg0 &&
+                           (i == 0 || events[i - 1].seq < e.seq);
+        torn.fetch_add(whole ? 0 : 1, std::memory_order_relaxed);
+      }
+      seen.fetch_add(events.size(), std::memory_order_relaxed);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (uint64_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&buffer, w] {
+      for (uint64_t i = 0; i < kPerWriter; ++i) {
+        const uint64_t arg0 = w * kPerWriter + i;
+        buffer.Record(TraceKind::kBitReach, arg0, arg0 % 977, arg0, ~arg0);
+      }
+    });
+  }
+  for (std::thread& t : writers) {
+    t.join();
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(buffer.total_recorded(), kWriters * kPerWriter);
+  EXPECT_EQ(torn.load(), 0u) << "of " << seen.load() << " events read";
 }
 
 TEST_F(TraceTest, RenderTextShowsMostRecentLimit) {
